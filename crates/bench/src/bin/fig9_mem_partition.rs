@@ -26,13 +26,13 @@
 //! <schedule>` arms the deterministic fault-injection registry
 //! ([`gemmini_soc::fault`]) for chaos testing.
 
+use gemmini_bench::figures::{fig9_points, FIG9_CONFIGS};
 use gemmini_bench::{export_trace_run, resnet_workload, section, sharded_sweep_with, trace_path};
 use gemmini_dnn::graph::LayerClass;
 use gemmini_mem::stats::SweepAxis;
 use gemmini_soc::run::SocReport;
-use gemmini_soc::sweep::{merge_memory_stats, DesignPoint};
+use gemmini_soc::sweep::merge_memory_stats;
 use gemmini_soc::PrunePolicy;
-use gemmini_soc::SocConfig;
 
 struct Outcome {
     name: &'static str,
@@ -65,19 +65,7 @@ fn main() {
     println!("BigL2: 256 KB scratchpad + 256 KB accumulator per core, 2 MB L2");
 
     // All six (configuration, core-count) points run in one sweep.
-    type ConfigMaker = fn(usize) -> SocConfig;
-    let configs: [(&str, ConfigMaker); 3] = [
-        ("Base", SocConfig::partition_base),
-        ("BigSP", SocConfig::partition_big_sp),
-        ("BigL2", SocConfig::partition_big_l2),
-    ];
-    let sweep = [1usize, 2]
-        .iter()
-        .flat_map(|&cores| configs.iter().map(move |&(name, make)| (cores, name, make)))
-        .map(|(cores, name, make)| {
-            DesignPoint::timing(format!("{name} x{cores}"), make(cores), &net)
-        })
-        .collect::<Vec<_>>();
+    let sweep = fig9_points(&net);
     let mut policy = PrunePolicy::new(SweepAxis::MemoryPartition, 0.05);
     for cores in [1usize, 2] {
         policy = policy.group(
@@ -102,9 +90,10 @@ fn main() {
     );
 
     for (i, cores) in [1usize, 2].into_iter().enumerate() {
-        let outcomes: Vec<Outcome> = configs
+        let n = FIG9_CONFIGS.len();
+        let outcomes: Vec<Outcome> = FIG9_CONFIGS
             .iter()
-            .zip(&results[i * configs.len()..(i + 1) * configs.len()])
+            .zip(&results[i * n..(i + 1) * n])
             .map(|(&(name, _), r)| Outcome {
                 name,
                 report: r.expect_ok().clone(),

@@ -273,6 +273,29 @@ pub fn fig7_points(nets: &[Network]) -> Vec<DesignPoint> {
         .collect()
 }
 
+/// Builds one Fig. 9a partition for a core count.
+pub type PartitionMaker = fn(usize) -> SocConfig;
+
+/// The Fig. 9 memory partitions (Fig. 9a), by name.
+pub const FIG9_CONFIGS: [(&str, PartitionMaker); 3] = [
+    ("Base", SocConfig::partition_base),
+    ("BigSP", SocConfig::partition_big_sp),
+    ("BigL2", SocConfig::partition_big_l2),
+];
+
+/// The Fig. 9 sweep: every [`FIG9_CONFIGS`] partition running `net` on
+/// one core, then the same on two cores, labelled `"<name> x<cores>"`.
+pub fn fig9_points(net: &Network) -> Vec<DesignPoint> {
+    [1usize, 2]
+        .into_iter()
+        .flat_map(|cores| {
+            FIG9_CONFIGS.map(|(name, make)| {
+                DesignPoint::timing(format!("{name} x{cores}"), make(cores), net)
+            })
+        })
+        .collect()
+}
+
 /// Fig. 7 cycle attribution as JSON: for every (network, variant) point,
 /// core 0's attribution record — buckets that sum exactly to that
 /// point's `total_cycles`. The golden tests pin the quick-mode values so

@@ -18,6 +18,7 @@ use gemmini_soc::sweep::merge_memory_stats;
 
 const SMOKE: &str = env!("CARGO_BIN_EXE_shard_smoke");
 const FIG8: &str = env!("CARGO_BIN_EXE_fig8_tlb_sweep");
+const FIG7: &str = env!("CARGO_BIN_EXE_fig7_speedup");
 
 /// A scratch directory unique to this test and process.
 fn scratch_dir(test: &str) -> PathBuf {
@@ -617,6 +618,86 @@ fn fig8_prune_survives_crash_resume_and_shards() {
     );
     assert_eq!(stdout(&baseline), stdout(&supervised), "sharded drifts");
     assert_checkpoints_equal_modulo_wall_and_order(&pruned, &sharded);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `k` of every `[k/n...]` progress line, in print order, with the
+/// line itself.
+fn progress_lines(err: &str) -> Vec<(usize, &str)> {
+    err.lines()
+        .filter_map(|line| {
+            let rest = line.strip_prefix('[')?;
+            let (k, _) = rest.split_once('/')?;
+            Some((k.parse().ok()?, line))
+        })
+        .collect()
+}
+
+/// Fig. 7's BOOM points with on-accelerator im2col repeat their Rocket
+/// twins, so the sweep serves them from one run: each follower takes the
+/// progress position right after its leader's, a resume serves every
+/// point from the checkpoint, and a supervised 2-shard run keeps each
+/// pair on one shard and prints the same figure.
+#[test]
+fn fig7_serves_equal_fingerprint_points_from_one_run() {
+    let dir = scratch_dir("fig7_dedup");
+    let ckpt = dir.join("fig7.jsonl");
+    let ckpt_arg = ckpt.to_str().unwrap();
+    let single = run(
+        FIG7,
+        &["--quick", "--json", ckpt_arg],
+        &[("GEMMINI_THREADS", "2")],
+    );
+    let err = stderr(&single);
+    assert!(single.status.success(), "{err}");
+    let lines = progress_lines(&err);
+    let mut positions: Vec<usize> = lines.iter().map(|(k, _)| *k).collect();
+    positions.sort_unstable();
+    assert_eq!(positions, (1..=8).collect::<Vec<_>>(), "{err}");
+    let mut served = 0;
+    for (j, (k, line)) in lines.iter().enumerate() {
+        let Some((_, leader)) = line.split_once("served from '") else {
+            continue;
+        };
+        served += 1;
+        let leader = leader.split('\'').next().unwrap();
+        assert!(line.contains("BOOM host, im2col on accel"), "{line}");
+        let (before, previous) = lines[j - 1];
+        assert_eq!(before + 1, *k, "a follower's position follows its leader's");
+        assert!(previous.contains(leader), "{previous} / {line}");
+    }
+    assert_eq!(served, 2, "{err}");
+    assert!(
+        err.contains(
+            "sweep: 6 simulation(s) for 8 point(s); 2 served from an equal-fingerprint run"
+        ),
+        "{err}"
+    );
+    assert_eq!(Checkpoint::<SocReport>::load(&ckpt).unwrap().len(), 8);
+
+    let resumed = run(FIG7, &["--quick", "--json", ckpt_arg, "--resume"], &[]);
+    assert!(stderr(&resumed).contains("skipped 8/8 completed points"));
+    assert_eq!(stdout(&resumed), stdout(&single));
+
+    let sharded = dir.join("sharded.jsonl");
+    let supervised = run(
+        FIG7,
+        &[
+            "--quick",
+            "--json",
+            sharded.to_str().unwrap(),
+            "--shards",
+            "2",
+        ],
+        &[],
+    );
+    let err = stderr(&supervised);
+    assert!(supervised.status.success(), "{err}");
+    assert_eq!(err.matches("served from '").count(), 2, "{err}");
+    assert_eq!(stdout(&supervised), stdout(&single));
+    // Two workers persist in completion order; the merge in grid order.
+    assert_checkpoints_equal_modulo_wall_and_order(&sharded, &ckpt);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,7 @@
 //! at 22.8 FPS @ 1 GHz, plus the ≈2.0× end-to-end effect of BOOM when the
 //! CPU performs im2col.
 
-use gemmini_dnn::graph::{Layer, LayerClass};
+use gemmini_dnn::graph::Layer;
 
 /// Which host core the model represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,13 +170,6 @@ impl CpuModel {
     pub fn context_switch_cycles(&self) -> u64 {
         self.scale(self.costs.context_switch_cycles as f64)
     }
-
-    /// Convenience: whether this layer class runs on the accelerator at
-    /// all (norm-class vector ops always stay on the CPU, as in the real
-    /// software stack).
-    pub fn runs_on_cpu_only(layer: &Layer) -> bool {
-        layer.class() == LayerClass::Norm
-    }
 }
 
 #[cfg(test)]
@@ -246,19 +239,6 @@ mod tests {
         };
         // 4 outputs * 4 window elems * 2 cycles.
         assert_eq!(m.layer_cycles(&p), 32);
-    }
-
-    #[test]
-    fn norm_ops_are_cpu_only() {
-        assert!(CpuModel::runs_on_cpu_only(&Layer::Softmax {
-            rows: 1,
-            cols: 1
-        }));
-        assert!(CpuModel::runs_on_cpu_only(&Layer::LayerNorm {
-            rows: 1,
-            cols: 1
-        }));
-        assert!(!CpuModel::runs_on_cpu_only(&conv_layer()));
     }
 
     #[test]

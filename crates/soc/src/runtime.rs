@@ -19,6 +19,7 @@ use crate::kernel::{
     pack_b_panels, packed_b_len, ASource, CpuLayerKernel, DwConvKernel, Im2colParams, Kernel,
     KernelEnv, MatmulParams, PoolKernel, ResAddKernel, StepOutcome, TiledMatmulKernel,
 };
+use crate::os::OsConfig;
 use gemmini_core::config::GemminiConfig;
 use gemmini_core::peripherals::readout_row;
 use gemmini_core::AccelError;
@@ -139,6 +140,34 @@ fn layer_input_elements(layer: &Layer) -> usize {
     }
 }
 
+/// Whether the lowering below runs `layer` (or part of it) on the host
+/// CPU under accelerator `accel`: im2col for a convolution without the
+/// im2col unit, a pool without the pooling unit, and every norm-class
+/// op. These are the only layers the host [`CpuModel`] prices.
+///
+/// [`CpuModel`]: gemmini_cpu::CpuModel
+fn runs_on_host(layer: &Layer, accel: &GemminiConfig) -> bool {
+    match layer {
+        Layer::Conv { .. } | Layer::DwConv { .. } => !accel.has_im2col,
+        Layer::Pool { .. } => !accel.has_pooling,
+        Layer::LayerNorm { .. } | Layer::Softmax { .. } => true,
+        Layer::Matmul { .. } | Layer::ResAdd { .. } => false,
+    }
+}
+
+/// Whether running `net` on a core with accelerator `accel` under `os`
+/// consults that core's host CPU model at all: some layer runs on the
+/// host (see the lowering in [`NetworkExecution`]), or the OS takes
+/// context switches, whose cost the CPU model sets. When this is false
+/// the core's CPU kind cannot change the run's report, which is what
+/// lets [`DesignPoint::fingerprint`] ignore it.
+///
+/// [`DesignPoint::fingerprint`]: crate::sweep::DesignPoint::fingerprint
+pub fn consults_cpu(net: &Network, accel: &GemminiConfig, os: &OsConfig) -> bool {
+    os.context_switch_interval.is_some()
+        || net.layers().iter().any(|l| runs_on_host(&l.layer, accel))
+}
+
 /// Runs a sequence of sub-kernels back to back (e.g. CPU im2col followed by
 /// the GEMM).
 struct SequenceKernel {
@@ -230,7 +259,7 @@ impl NetworkExecution {
             let output = space.alloc(frames, round_up(out_elements.max(1), pad) as u64);
             // Patch scratch for CPU-side im2col.
             let patch = match l {
-                Layer::Conv { .. } | Layer::DwConv { .. } if !accel_cfg.has_im2col => {
+                Layer::Conv { .. } | Layer::DwConv { .. } if runs_on_host(l, &accel_cfg) => {
                     // `as_gemm` already folds channels into m for depthwise.
                     let (m, k, _n) = l.as_gemm().expect("conv lowers to GEMM");
                     Some(space.alloc(frames, round_up(m * k, pad) as u64))
@@ -445,7 +474,7 @@ impl NetworkExecution {
                     acc_scale: scale_for_k(kdim),
                 };
                 let input_nchw = self.read_input_nchw(env, i, in_channels, in_hw.0, in_hw.1);
-                if cfg.has_im2col {
+                if !runs_on_host(&layer, &cfg) {
                     let patches = input_nchw.map(|t| im2col_nhwc(&t, spec));
                     Box::new(TiledMatmulKernel::new(
                         &cfg,
@@ -512,7 +541,7 @@ impl NetworkExecution {
                         .collect::<Vec<_>>()
                 });
                 let scale = scale_for_k(kernel * kernel);
-                if cfg.has_im2col {
+                if !runs_on_host(&layer, &cfg) {
                     Box::new(DwConvKernel::new(
                         &cfg,
                         self.input_of(i),
@@ -603,7 +632,7 @@ impl NetworkExecution {
                 channels,
                 in_hw,
             } => {
-                if cfg.has_pooling {
+                if !runs_on_host(&layer, &cfg) {
                     let spec = PoolSpec {
                         size,
                         stride,

@@ -49,6 +49,7 @@
 //! shared CLI (`--shard` / `--shards` / `--merge`, parsed by
 //! [`ShardCli`]).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -140,44 +141,40 @@ impl fmt::Display for ShardSpec {
 }
 
 /// The strided slice of `items` owned by `spec`, preserving grid order.
-/// Deterministic for any list: every shard derives its own slice from
-/// the full grid, no coordination needed.
-pub fn shard_items<X>(items: Vec<X>, spec: ShardSpec) -> Vec<X> {
-    items
-        .into_iter()
-        .enumerate()
-        .filter(|(position, _)| spec.owns(*position))
-        .map(|(_, item)| item)
-        .collect()
-}
-
-/// Like [`shard_items`], but partitions whole prune groups instead of
-/// individual points: a group's basis and members always land on the
-/// same shard, so each worker can make (and persist) its own prune
-/// decisions without cross-process coordination. Slots are assigned to
-/// groups by first appearance in grid order — still a pure function of
-/// the grid and the policy, so workers, supervisor and merge agree.
+/// Striding runs over *slots*, not points: a point takes the slot of the
+/// first earlier point with its fingerprint (its dedup leader, see
+/// [`sweep_map_checkpointed`]), else the slot of its prune group under
+/// `policy` (basis and members together), else a new one. So a worker
+/// can serve its followers and make its own prune decisions without
+/// cross-process coordination. Slots go by first appearance in grid
+/// order — a pure function of the grid and the policy, so workers,
+/// supervisor and merge agree.
 pub fn shard_items_grouped<I>(
     items: Vec<(String, u64, I)>,
     spec: ShardSpec,
-    policy: &PrunePolicy,
+    policy: Option<&PrunePolicy>,
 ) -> Vec<(String, u64, I)> {
-    let mut slot_of_key: std::collections::HashMap<String, usize> =
-        std::collections::HashMap::new();
+    let mut slot_of_fingerprint: HashMap<u64, usize> = HashMap::new();
+    let mut slot_of_group: HashMap<String, usize> = HashMap::new();
     let mut next_slot = 0usize;
     items
         .into_iter()
-        .filter(|(label, ..)| {
+        .filter(|(label, fingerprint, _)| {
             // A member shares its group basis's slot; a basis or an
             // ungrouped point keys on its own label.
-            let key = policy
-                .group_of_member(label)
+            let group = policy
+                .and_then(|p| p.group_of_member(label))
                 .map_or(label.as_str(), |g| g.basis.as_str());
-            let slot = *slot_of_key.entry(key.to_string()).or_insert_with(|| {
-                let slot = next_slot;
-                next_slot += 1;
-                slot
-            });
+            let slot = slot_of_fingerprint
+                .get(fingerprint)
+                .or_else(|| slot_of_group.get(group))
+                .copied()
+                .unwrap_or_else(|| {
+                    next_slot += 1;
+                    next_slot - 1
+                });
+            slot_of_fingerprint.entry(*fingerprint).or_insert(slot);
+            slot_of_group.entry(group.to_string()).or_insert(slot);
             spec.owns(slot)
         })
         .collect()
@@ -891,7 +888,7 @@ pub fn merge_shards<T: FromJson>(
             Line::Failed(_) => None,
         })
         .collect();
-    let by_label: std::collections::HashMap<&str, (&u64, bool)> = completed
+    let by_label: HashMap<&str, (&u64, bool)> = completed
         .iter()
         .map(|e| (e.label.as_str(), (&e.fingerprint, e.pruned.is_some())))
         .collect();
@@ -1222,12 +1219,9 @@ where
         // arms in exactly one worker; everyone else disarms here.
         crate::fault::scope_to_shard(Some(spec.index));
         let grid_total = items.len();
-        // With pruning on, partition whole groups so every member's
-        // basis runs (and its attribution is decided) in this process.
-        let slice = match &opts.prune {
-            Some(policy) => shard_items_grouped(items, spec, policy),
-            None => shard_items(items, spec),
-        };
+        // Partition by slot so every follower's leader and (with pruning
+        // on) every member's basis run in this process.
+        let slice = shard_items_grouped(items, spec, opts.prune.as_ref());
         let slice_len = slice.len();
         let slice_expected = expected_of(&slice);
         let shard_file = shard_path(&base, spec);
@@ -1425,19 +1419,68 @@ mod tests {
         assert!(ShardSpec::parse("a/b").is_err());
     }
 
+    /// `(label, fingerprint, position)` items; `fingerprints[i]` is
+    /// point `i`'s fingerprint.
+    fn grid_of(labels: &[&str], fingerprints: &[u64]) -> Vec<(String, u64, usize)> {
+        labels
+            .iter()
+            .zip(fingerprints)
+            .enumerate()
+            .map(|(i, (l, fp))| ((*l).to_string(), *fp, i))
+            .collect()
+    }
+
+    fn labels_of(slice: &[(String, u64, usize)]) -> Vec<String> {
+        slice.iter().map(|(l, ..)| l.clone()).collect()
+    }
+
     #[test]
     fn strided_slices_partition_the_grid() {
-        let items: Vec<usize> = (0..10).collect();
-        let s0 = shard_items(items.clone(), ShardSpec { index: 0, count: 3 });
-        let s1 = shard_items(items.clone(), ShardSpec { index: 1, count: 3 });
-        let s2 = shard_items(items.clone(), ShardSpec { index: 2, count: 3 });
+        let labels: Vec<String> = (0..10).map(|i| format!("p{i}")).collect();
+        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let items = grid_of(&labels, &(0..10).collect::<Vec<u64>>());
+        let slice = |index| {
+            shard_items_grouped(items.clone(), ShardSpec { index, count: 3 }, None)
+                .into_iter()
+                .map(|(_, _, i)| i)
+                .collect::<Vec<_>>()
+        };
+        let (s0, s1, s2) = (slice(0), slice(1), slice(2));
         assert_eq!(s0, vec![0, 3, 6, 9]);
         assert_eq!(s1, vec![1, 4, 7]);
         assert_eq!(s2, vec![2, 5, 8]);
         // Exact partition: every item lands in exactly one shard.
         let mut all: Vec<usize> = s0.into_iter().chain(s1).chain(s2).collect();
         all.sort_unstable();
-        assert_eq!(all, items);
+        assert_eq!(all, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn equal_fingerprints_share_their_leaders_shard() {
+        // The Fig. 7 shape: per network, Rocket/BOOM × im2col on CPU/accel,
+        // where the two on-accelerator points share a fingerprint.
+        let labels = [
+            "r/cpu", "b/cpu", "r/acc", "b/acc", "r2/cpu", "b2/cpu", "r2/acc", "b2/acc",
+        ];
+        let items = grid_of(&labels, &[10, 11, 12, 12, 20, 21, 22, 22]);
+        let spec = |index| ShardSpec { index, count: 2 };
+        let s0 = shard_items_grouped(items.clone(), spec(0), None);
+        let s1 = shard_items_grouped(items.clone(), spec(1), None);
+        // Slots: 0 1 2 2 3 4 5 5 — each follower rides with its leader.
+        assert_eq!(labels_of(&s0), ["r/cpu", "r/acc", "b/acc", "b2/cpu"]);
+        assert_eq!(labels_of(&s1), ["b/cpu", "r2/cpu", "r2/acc", "b2/acc"]);
+        // A point with both a dedup leader and a prune basis rides with its
+        // leader (the fingerprint slot wins); its shard then simulates it
+        // or serves it from the leader, never predicts it unbacked.
+        use gemmini_mem::stats::SweepAxis;
+        let policy =
+            PrunePolicy::new(SweepAxis::TlbEntries, 0.05).group("b/cpu", ["b/acc".to_string()]);
+        let s1 = shard_items_grouped(items.clone(), spec(1), Some(&policy));
+        assert_eq!(labels_of(&s1), ["b/cpu", "r2/cpu", "r2/acc", "b2/acc"]);
+        assert_eq!(
+            labels_of(&shard_items_grouped(items, spec(0), Some(&policy))),
+            labels_of(&s0)
+        );
     }
 
     #[test]
@@ -1454,11 +1497,9 @@ mod tests {
             .group("b0", ["m0a".to_string(), "m0b".to_string()])
             .group("b1", ["m1a".to_string(), "m1b".to_string()]);
         let spec = |index| ShardSpec { index, count: 2 };
-        let s0 = shard_items_grouped(items.clone(), spec(0), &policy);
-        let s1 = shard_items_grouped(items.clone(), spec(1), &policy);
+        let s0 = shard_items_grouped(items.clone(), spec(0), Some(&policy));
+        let s1 = shard_items_grouped(items.clone(), spec(1), Some(&policy));
         // Slots by first appearance: b0-group=0, lone0=1, b1-group=2, lone1=3.
-        let labels_of =
-            |s: &[(String, u64, usize)]| s.iter().map(|(l, ..)| l.clone()).collect::<Vec<_>>();
         assert_eq!(labels_of(&s0), ["b0", "m0a", "m0b", "b1", "m1a", "m1b"]);
         assert_eq!(labels_of(&s1), ["lone0", "lone1"]);
         // Exact partition, grid order preserved within each slice.

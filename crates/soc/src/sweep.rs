@@ -28,6 +28,9 @@
 //!   cycle attribution rides along in every [`SocReport`] (and therefore
 //!   in each checkpoint line), and `GEMMINI_TRACE` exports a Chrome
 //!   trace from any individual run.
+//! * **Dedup**: the checkpointing executor simulates each distinct
+//!   [`DesignPoint::fingerprint`] once and serves later points with the
+//!   same fingerprint from that run (see [`sweep_map_checkpointed`]).
 //! * **Exact aggregation**: [`merge_memory_stats`] folds per-point
 //!   memory counters through [`HitMissStats::merge`] and
 //!   [`TrafficStats::merge`], so totals across N parallel shards equal
@@ -46,6 +49,7 @@ use crate::checkpoint::{
 };
 use crate::prune::{Attributed, PruneDecision, PruneEvidence, PrunePolicy};
 use crate::run::{run_networks_metered, RunOptions, SocReport};
+use crate::runtime::consults_cpu;
 use crate::soc::SocConfig;
 use crate::telemetry::{
     eta_secs, format_eta, wall_micros, write_heartbeat, write_prometheus, Heartbeat,
@@ -53,6 +57,7 @@ use crate::telemetry::{
 };
 use gemmini_core::metrics::{Counter, Gauge, HistKind, Log2Histogram, Metrics};
 use gemmini_core::AccelError;
+use gemmini_cpu::CpuKind;
 use gemmini_dnn::graph::Network;
 use gemmini_mem::json::{FromJson, ToJson};
 use gemmini_mem::stats::{HitMissStats, TrafficStats};
@@ -123,12 +128,25 @@ impl DesignPoint {
         Self::new(label, config, nets, RunOptions::timing())
     }
 
-    /// Stable fingerprint of the point's full configuration (SoC config,
-    /// networks, run options — everything except the label). Checkpoint
-    /// resume skips a completed point only when both its label and this
-    /// fingerprint match, so any edit to the design forces a re-run.
+    /// Stable fingerprint of everything that can change the point's
+    /// report: the SoC config, networks and run options, except a core's
+    /// host CPU kind when that core never consults its CPU model (see
+    /// [`consults_cpu`]); such a core hashes as a Rocket host, so a
+    /// Rocket point's fingerprint is its plain configuration hash.
+    ///
+    /// Equal fingerprints therefore mean equal reports. Checkpoint resume
+    /// skips a completed point only when both its label and this
+    /// fingerprint match, so any edit that can change the report forces
+    /// a re-run, and the checkpointing executor simulates each distinct
+    /// fingerprint once (see [`sweep_map_checkpointed`]).
     pub fn fingerprint(&self) -> u64 {
-        debug_fingerprint(&(&self.config, &self.networks, &self.options))
+        let mut config = self.config.clone();
+        for (core, net) in config.cores.iter_mut().zip(&self.networks) {
+            if !consults_cpu(net, &core.accel, &config.os) {
+                core.cpu = CpuKind::Rocket;
+            }
+        }
+        debug_fingerprint(&(&config, &self.networks, &self.options))
     }
 }
 
@@ -168,6 +186,7 @@ pub struct SweepResult<T> {
     /// worker, excluding checkpoint encoding and I/O — identical to the
     /// `wall_nanos` persisted in the checkpoint line, so a run and its
     /// later cached replay report the same wall for the same point.
+    /// Zero for a point served from an equal-fingerprint run.
     pub wall: Duration,
     /// Whether the result was served from a checkpoint instead of run.
     pub cached: bool,
@@ -342,6 +361,9 @@ struct Pulse {
     pruned: AtomicUsize,
     /// Points actually simulated here (successes and failures).
     executed: AtomicUsize,
+    /// Followers waiting on a running leader of equal fingerprint: not
+    /// done yet, but costing no simulation, so the ETA leaves them out.
+    pending: AtomicUsize,
     failed: AtomicUsize,
     wall_hist: Mutex<Log2Histogram>,
     last_beat: Mutex<Instant>,
@@ -404,6 +426,7 @@ impl Pulse {
             cached: AtomicUsize::new(cached),
             pruned: AtomicUsize::new(pruned),
             executed: AtomicUsize::new(0),
+            pending: AtomicUsize::new(0),
             failed: AtomicUsize::new(0),
             wall_hist: Mutex::new(Log2Histogram::new()),
             last_beat: Mutex::new(Instant::now()),
@@ -511,6 +534,13 @@ impl Pulse {
         self.baseline.load(Ordering::Relaxed) + self.executed.load(Ordering::Relaxed)
     }
 
+    /// Points still to simulate: the grid minus everything done and
+    /// every follower that will be served from its leader's run.
+    fn remaining(&self) -> usize {
+        self.grid_total
+            .saturating_sub(self.done_total() + self.pending.load(Ordering::Relaxed))
+    }
+
     /// Folds one executed point in: wall histogram (local + registry),
     /// point counters, and a heartbeat refresh.
     fn record_point(&self, wall: Duration, ok: bool) {
@@ -537,13 +567,19 @@ impl Pulse {
         self.beat("run");
     }
 
+    /// `n` followers were served from an equal-fingerprint result: like
+    /// pruned points, completions that never execute.
+    fn add_followers(&self, n: usize) {
+        self.baseline.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Current p50-based ETA over the remaining grid, if any point has
     /// been timed yet.
     fn eta(&self) -> Option<f64> {
         let hist = self.wall_hist.lock().expect("wall histogram lock");
         eta_secs(
             &hist,
-            self.grid_total.saturating_sub(self.done_total()),
+            self.remaining(),
             self.workers.load(Ordering::Relaxed),
         )
     }
@@ -558,7 +594,7 @@ impl Pulse {
         } else {
             eta_secs(
                 &point_wall,
-                self.grid_total.saturating_sub(done),
+                self.remaining(),
                 self.workers.load(Ordering::Relaxed),
             )
         };
@@ -689,7 +725,7 @@ where
         opts.progress_pruned,
     );
     let monitor = PulseMonitor::spawn(&pulse);
-    let results = sweep_map_walled(items, opts, &pulse, |item| {
+    let walled = |item| {
         let start = Instant::now();
         match f(item) {
             Ok(t) => {
@@ -698,7 +734,11 @@ where
             }
             Err(e) => Err(SweepError::Accel(e)),
         }
-    });
+    };
+    let results = sweep_map_walled(items, opts, &pulse, walled, |_, _| Vec::new())
+        .into_iter()
+        .map(|(result, _)| result)
+        .collect();
     drop(monitor);
     pulse.finalize();
     results
@@ -709,16 +749,23 @@ where
 /// around the simulation (checkpoint encoding and flushing) can keep the
 /// reported wall pure. Panics inside the closure are still caught and
 /// isolated per item.
-fn sweep_map_walled<I, T, G>(
+///
+/// As soon as item `i` finishes, `followers(i, &result)` yields the
+/// results of the points waiting on it (see [`run_phase`]); each takes
+/// the next progress-line position right after its leader's, and is
+/// returned alongside it.
+fn sweep_map_walled<I, T, G, H>(
     items: Vec<(String, I)>,
     opts: SweepOptions,
     pulse: &Pulse,
     g: G,
-) -> Vec<SweepResult<T>>
+    followers: H,
+) -> Vec<(SweepResult<T>, Vec<SweepResult<T>>)>
 where
     I: Send,
     T: Send,
     G: Fn(I) -> Result<(T, Duration), SweepError> + Sync,
+    H: Fn(usize, &SweepResult<T>) -> Vec<SweepResult<T>> + Sync,
 {
     let total = items.len();
     if total == 0 {
@@ -751,7 +798,10 @@ where
     }
     let sweep_start = Instant::now();
 
-    let run_one = |label: &str, item: I, done: &AtomicUsize| -> SweepResult<T> {
+    // `done` counts progress positions (leaders and their followers);
+    // `ran` counts simulations, the pts/s numerator.
+    let ran = AtomicUsize::new(0);
+    let run_one = |idx: usize, label: &str, item: I, done: &AtomicUsize| {
         let attempt_start = Instant::now();
         pulse.metrics.gauge_add(Gauge::PointsInFlight, 1);
         let (outcome, wall) = match catch_unwind(AssertUnwindSafe(|| g(item))) {
@@ -765,10 +815,11 @@ where
         pulse.metrics.gauge_sub(Gauge::PointsInFlight, 1);
         pulse.record_point(wall, outcome.is_ok());
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+        let simulated = ran.fetch_add(1, Ordering::Relaxed) + 1;
         if opts.progress {
             let status = if outcome.is_ok() { "" } else { "FAILED " };
             let elapsed = sweep_start.elapsed().as_secs_f64();
-            let rate = finished as f64 / elapsed.max(1e-9);
+            let rate = simulated as f64 / elapsed.max(1e-9);
             // The ETA column comes from the shared per-point wall
             // histogram: p50 bucket bound × remaining waves, clamped.
             let eta = pulse
@@ -781,13 +832,31 @@ where
                 wall.as_secs_f64()
             );
         }
-        SweepResult {
+        let result = SweepResult {
             label: label.to_string(),
             outcome,
             wall,
             cached: false,
             pruned: None,
+        };
+        let copies = followers(idx, &result);
+        for copy in &copies {
+            pulse.add_followers(1);
+            pulse.pending.fetch_sub(1, Ordering::Relaxed);
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if opts.progress {
+                let status = if copy.outcome.is_ok() { "" } else { "FAILED " };
+                eprintln!(
+                    "[{}/{grid_total}{provenance}] {} {status}served from '{label}' (equal fingerprint)",
+                    finished + done_offset,
+                    copy.label
+                );
+            }
         }
+        if !copies.is_empty() {
+            pulse.beat("run");
+        }
+        (result, copies)
     };
 
     let done = AtomicUsize::new(0);
@@ -796,7 +865,8 @@ where
         // the historical per-binary loops.
         return items
             .into_iter()
-            .map(|(label, item)| run_one(&label, item, &done))
+            .enumerate()
+            .map(|(idx, (label, item))| run_one(idx, &label, item, &done))
             .collect();
     }
 
@@ -807,7 +877,8 @@ where
         .into_iter()
         .map(|pair| Mutex::new(Some(pair)))
         .collect();
-    let slots: Vec<Mutex<Option<SweepResult<T>>>> = (0..total).map(|_| Mutex::new(None)).collect();
+    type Settled<T> = (SweepResult<T>, Vec<SweepResult<T>>);
+    let slots: Vec<Mutex<Option<Settled<T>>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
@@ -822,7 +893,7 @@ where
                     .expect("work slot lock")
                     .take()
                     .expect("each index is claimed exactly once");
-                let result = run_one(&label, item, &done);
+                let result = run_one(idx, &label, item, &done);
                 *slots[idx].lock().expect("result slot lock") = Some(result);
             });
         }
@@ -839,15 +910,23 @@ where
 }
 
 /// The checkpointing executor: like [`sweep_map`], but each item carries
-/// a configuration fingerprint, completed results are appended to
-/// `opts.checkpoint` as flushed JSON lines, and — in resume mode —
-/// points whose `(label, fingerprint)` already appear in the file are
-/// served from it without running.
+/// a fingerprint of everything that can change its result, completed
+/// results are appended to `opts.checkpoint` as flushed JSON lines, and
+/// — in resume mode — points whose `(label, fingerprint)` already appear
+/// in the file are served from it without running.
 ///
 /// A killed sweep therefore loses at most its in-flight points, and a
-/// resumed sweep re-executes only stale or missing ones. With
-/// `opts.checkpoint == None` and `opts.prune == None` this is exactly
-/// [`sweep_map`].
+/// resumed sweep re-executes only stale or missing ones.
+///
+/// Equal fingerprints mean equal results (the contract resume already
+/// relies on), so each distinct fingerprint is simulated once: the first
+/// point left to run with a given fingerprint is its *leader*, and every
+/// later one is a *follower* served a copy of the leader's outcome under
+/// its own label (wall 0, not `cached`, not pruned). A follower of a
+/// point already served from the checkpoint copies that entry. Copied
+/// successes persist as ordinary checkpoint entries, so a resume serves
+/// them as `cached`; a failed leader fails its followers, which are not
+/// persisted and so re-run on resume.
 ///
 /// With `opts.prune` set, execution is two-phased: group bases (and every
 /// ungrouped point) run first, then each group's basis attribution
@@ -857,7 +936,8 @@ where
 /// carrying their [`PruneEvidence`]; on resume they are replayed only
 /// while the policy is still active *and* the recorded basis fingerprint
 /// still matches the grid (any drift re-runs the point — the safe
-/// direction).
+/// direction). A second-phase point follows an equal-fingerprint point
+/// simulated in the first.
 pub fn sweep_map_checkpointed<I, T, F>(
     items: Vec<(String, u64, I)>,
     opts: SweepOptions,
@@ -869,14 +949,6 @@ where
     F: Fn(I) -> Result<T, AccelError> + Sync,
 {
     let path = opts.checkpoint.clone();
-    if path.is_none() && opts.prune.is_none() && opts.point_timeout.is_none() {
-        let plain = items
-            .into_iter()
-            .map(|(label, _, item)| (label, item))
-            .collect();
-        return sweep_map(plain, opts, f);
-    }
-
     let total = items.len();
     let policy = opts.prune.clone();
     // The grid's own label → (fingerprint, slot) map: prune evidence is
@@ -915,11 +987,15 @@ where
     let mut cached_run = 0usize;
     let mut cached_pruned = 0usize;
     let mut cached_failed = 0usize;
+    // Real, successful results by fingerprint (first in submission
+    // order): what later equal-fingerprint points may copy.
+    let mut known: HashMap<u64, usize> = HashMap::new();
     for (idx, (label, fingerprint, item)) in items.into_iter().enumerate() {
         let served = match checkpoint.take(&label, fingerprint) {
             Some(entry) => match entry.pruned {
                 None => {
                     cached_run += 1;
+                    known.entry(fingerprint).or_insert(idx);
                     slots[idx] = Some(SweepResult {
                         label: label.clone(),
                         outcome: Ok(entry.payload),
@@ -1135,15 +1211,15 @@ where
     run_opts.progress_cached = cached_run;
     run_opts.progress_pruned = cached_pruned;
     let phase1_count = phase1.len();
-    let order: Vec<usize> = phase1.iter().map(|(idx, ..)| *idx).collect();
-    let work: Vec<(String, (String, u64, I))> = phase1
-        .into_iter()
-        .map(|(_, label, fingerprint, item)| (label.clone(), (label, fingerprint, item)))
-        .collect();
-    let ran = sweep_map_walled(work, run_opts, &pulse, &run_point);
-    for (idx, result) in order.into_iter().zip(ran) {
-        slots[idx] = Some(result);
-    }
+    let mut followed = run_phase(
+        phase1,
+        &mut slots,
+        &mut known,
+        writer.as_deref(),
+        run_opts,
+        &pulse,
+        &run_point,
+    );
 
     // Decide each remaining member against its basis's attribution: prune
     // with evidence (persisted like any completed point, wall 0), or send
@@ -1209,25 +1285,31 @@ where
         run_opts.progress_total = total;
         run_opts.progress_cached = cached_run;
         run_opts.progress_pruned = cached_pruned + newly_pruned;
-        let order: Vec<usize> = phase2.iter().map(|(idx, ..)| *idx).collect();
-        let work: Vec<(String, (String, u64, I))> = phase2
-            .into_iter()
-            .map(|(_, label, fingerprint, item)| (label.clone(), (label, fingerprint, item)))
-            .collect();
-        let ran = sweep_map_walled(work, run_opts, &pulse, &run_point);
-        for (idx, result) in order.into_iter().zip(ran) {
-            slots[idx] = Some(result);
-        }
+        followed += run_phase(
+            phase2,
+            &mut slots,
+            &mut known,
+            writer.as_deref(),
+            run_opts,
+            &pulse,
+            &run_point,
+        );
     }
     drop(monitor);
     pulse.finalize();
 
+    let simulated = pulse.executed.load(Ordering::Relaxed);
     if policy.is_some() && opts.progress {
-        let pruned_total = cached_pruned + newly_pruned;
         eprintln!(
-            "sweep: pruned {pruned_total}/{total} point(s) via {} attribution ({} simulated, {cached_run} cached)",
+            "sweep: pruned {}/{total} point(s) via {} attribution ({simulated} simulated, {cached_run} cached)",
+            cached_pruned + newly_pruned,
             policy.as_ref().map_or("?", |p| p.axis.name()),
-            total - pruned_total - cached_run,
+        );
+    }
+    if followed > 0 && opts.progress {
+        eprintln!(
+            "sweep: {simulated} simulation(s) for {total} point(s); \
+             {followed} served from an equal-fingerprint run"
         );
     }
 
@@ -1257,6 +1339,105 @@ where
         .into_iter()
         .map(|slot| slot.expect("every point is either cached, pruned, or executed"))
         .collect()
+}
+
+/// One execution phase of [`sweep_map_checkpointed`], simulating each
+/// distinct fingerprint of `batch` once. A point whose fingerprint is in
+/// `known` (a real, successful result already in `slots`) copies that
+/// result up front. Of the rest, the first point with a fingerprint is
+/// its leader and runs; every later one is a follower, served a copy of
+/// the leader's outcome the moment it finishes. Successful leaders join
+/// `known` for later phases. Returns how many followers were served.
+fn run_phase<I, T, G>(
+    batch: Vec<(usize, String, u64, I)>,
+    slots: &mut [Option<SweepResult<T>>],
+    known: &mut HashMap<u64, usize>,
+    writer: Option<&CheckpointWriter>,
+    mut opts: SweepOptions,
+    pulse: &Pulse,
+    run_point: G,
+) -> usize
+where
+    I: Send,
+    T: ToJson + Clone + Send,
+    G: Fn((String, u64, I)) -> Result<(T, Duration), SweepError> + Sync,
+{
+    let mut leaders: Vec<(usize, String, u64, I)> = Vec::new();
+    let mut followers: Vec<Vec<(usize, String)>> = Vec::new();
+    let mut leader_of: HashMap<u64, usize> = HashMap::new();
+    let mut copied = 0usize;
+    for (idx, label, fingerprint, item) in batch {
+        if let Some(&source) = known.get(&fingerprint) {
+            let source = slots[source].as_ref().expect("known results are filled");
+            slots[idx] = Some(follow(source, label, fingerprint, writer));
+            copied += 1;
+        } else if let Some(&pos) = leader_of.get(&fingerprint) {
+            followers[pos].push((idx, label));
+        } else {
+            leader_of.insert(fingerprint, leaders.len());
+            leaders.push((idx, label, fingerprint, item));
+            followers.push(Vec::new());
+        }
+    }
+    pulse.add_followers(copied);
+    opts.progress_done += copied;
+    let queued: usize = followers.iter().map(Vec::len).sum();
+    pulse.pending.fetch_add(queued, Ordering::Relaxed);
+
+    let placed: Vec<(usize, u64)> = leaders.iter().map(|(idx, _, fp, _)| (*idx, *fp)).collect();
+    let work: Vec<(String, (String, u64, I))> = leaders
+        .into_iter()
+        .map(|(_, label, fingerprint, item)| (label.clone(), (label, fingerprint, item)))
+        .collect();
+    let ran = sweep_map_walled(work, opts, pulse, run_point, |pos, leader| {
+        followers[pos]
+            .iter()
+            .map(|(_, label)| follow(leader, label.clone(), placed[pos].1, writer))
+            .collect()
+    });
+    for (((idx, fingerprint), waiting), (leader, copies)) in
+        placed.into_iter().zip(followers).zip(ran)
+    {
+        if leader.outcome.is_ok() {
+            known.entry(fingerprint).or_insert(idx);
+        }
+        slots[idx] = Some(leader);
+        for ((follower_idx, _), copy) in waiting.into_iter().zip(copies) {
+            slots[follower_idx] = Some(copy);
+        }
+    }
+    copied + queued
+}
+
+/// A follower's result: `source`'s outcome under the follower's own
+/// label, with zero wall and no cache or prune provenance. A success is
+/// persisted as an ordinary checkpoint entry; a failure is not, so the
+/// follower re-runs on resume like its failed leader.
+fn follow<T: ToJson + Clone>(
+    source: &SweepResult<T>,
+    label: String,
+    fingerprint: u64,
+    writer: Option<&CheckpointWriter>,
+) -> SweepResult<T> {
+    if let (Some(w), Ok(payload)) = (writer, &source.outcome) {
+        let entry = CheckpointEntry {
+            label: label.clone(),
+            fingerprint,
+            wall: Duration::ZERO,
+            payload: payload.clone(),
+            pruned: None,
+        };
+        if let Err(e) = w.append(&entry) {
+            eprintln!("sweep: checkpoint append failed for '{label}': {e}");
+        }
+    }
+    SweepResult {
+        label,
+        outcome: source.outcome.clone(),
+        wall: Duration::ZERO,
+        cached: false,
+        pruned: None,
+    }
 }
 
 /// Runs a batch of [`DesignPoint`]s with default options (worker count

@@ -38,7 +38,8 @@ pub struct Heartbeat {
     pub version: u32,
     /// What the process is doing: `run`, `done`, or `failed`.
     pub phase: String,
-    /// Points finished (simulated + cached + pruned + failed).
+    /// Points finished: simulated, cached, pruned, served from an
+    /// equal-fingerprint run, or failed.
     pub done: usize,
     /// Total points in this process's slice of the grid.
     pub total: usize,

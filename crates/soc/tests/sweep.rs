@@ -481,10 +481,13 @@ fn repeated_resume_cycles_do_not_grow_the_checkpoint() {
     // Each cycle uses new fingerprints, so every point re-runs and
     // appends a shadowing entry. Completion must compact the file back
     // to one line per label; without compaction cycle `c` would leave
-    // `c * n` lines.
+    // `c * n` lines. Fingerprints are distinct within a cycle too: equal
+    // ones would be simulated once and served to the rest.
+    let fingerprint = |cycle: u64, i: usize| cycle * 100 + i as u64;
     for cycle in 0..3u64 {
-        let items: Vec<(String, u64, u64)> =
-            (0..n).map(|i| (format!("p{i}"), cycle, i as u64)).collect();
+        let items: Vec<(String, u64, u64)> = (0..n)
+            .map(|i| (format!("p{i}"), fingerprint(cycle, i), i as u64))
+            .collect();
         let results = sweep_map_checkpointed(
             items,
             SweepOptions {
@@ -507,7 +510,10 @@ fn repeated_resume_cycles_do_not_grow_the_checkpoint() {
     assert_eq!(on_disk.len(), n);
     for i in 0..n {
         assert_eq!(
-            on_disk.lookup(&format!("p{i}"), 2).unwrap().payload,
+            on_disk
+                .lookup(&format!("p{i}"), fingerprint(2, i))
+                .unwrap()
+                .payload,
             i as u64 + 2
         );
     }
@@ -533,4 +539,142 @@ fn env_var_resolves_worker_count() {
     std::env::set_var(THREADS_ENV, "7");
     assert_eq!(worker_count(2, 64), 2);
     std::env::remove_var(THREADS_ENV);
+}
+
+/// `(label, fingerprint, item)` triples whose item is the fingerprint, so
+/// a point's payload depends on its fingerprint alone — the contract the
+/// executor's dedup relies on.
+fn keyed(fingerprints: &[u64]) -> Vec<(String, u64, u64)> {
+    fingerprints
+        .iter()
+        .enumerate()
+        .map(|(i, &fp)| (format!("p{i}"), fp, fp))
+        .collect()
+}
+
+fn ckpt(path: &std::path::Path, resume: bool, threads: usize) -> SweepOptions {
+    SweepOptions {
+        checkpoint: Some(path.to_path_buf()),
+        resume,
+        ..opts(threads)
+    }
+}
+
+fn is_follower<T>(r: &gemmini_soc::sweep::SweepResult<T>) -> bool {
+    !r.cached && r.pruned.is_none() && r.wall.is_zero()
+}
+
+#[test]
+fn followers_are_persisted_and_resume_serves_every_point() {
+    let path = scratch_checkpoint("dedup_resume");
+    let _ = std::fs::remove_file(&path);
+    let fps = [1, 2, 1, 3, 2, 1];
+    let executed = AtomicUsize::new(0);
+    let simulate = |fp: u64| {
+        executed.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(1));
+        Ok(fp * 10)
+    };
+    let fresh = sweep_map_checkpointed(keyed(&fps), ckpt(&path, false, 2), simulate);
+    assert_eq!(
+        executed.load(Ordering::SeqCst),
+        3,
+        "one run per fingerprint"
+    );
+    for (i, (r, fp)) in fresh.iter().zip(fps).enumerate() {
+        assert_eq!(r.label, format!("p{i}"), "submission order");
+        assert_eq!(*r.expect_ok(), fp * 10);
+        assert!(!r.cached, "a fresh pass never marks a point cached");
+        assert_eq!(is_follower(r), [2, 4, 5].contains(&i), "{}", r.label);
+    }
+    let on_disk: Checkpoint<u64> = Checkpoint::load(&path).expect("checkpoint loads");
+    assert_eq!(on_disk.len(), 6, "followers persist as ordinary entries");
+
+    let executed = AtomicUsize::new(0);
+    let resumed = sweep_map_checkpointed(keyed(&fps), ckpt(&path, true, 2), |fp| {
+        executed.fetch_add(1, Ordering::SeqCst);
+        Ok(fp * 10)
+    });
+    assert_eq!(executed.load(Ordering::SeqCst), 0);
+    assert!(resumed.iter().all(|r| r.cached), "followers included");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn failing_leader_fails_its_followers_without_persisting_them() {
+    use gemmini_core::AccelError;
+    let path = scratch_checkpoint("dedup_failure");
+    let _ = std::fs::remove_file(&path);
+    let fps = [1, 1, 2, 1];
+    let executed = AtomicUsize::new(0);
+    let results = sweep_map_checkpointed(keyed(&fps), ckpt(&path, false, 2), |fp| {
+        executed.fetch_add(1, Ordering::SeqCst);
+        if fp == 1 {
+            Err(AccelError::NoPreload)
+        } else {
+            Ok(fp)
+        }
+    });
+    assert_eq!(executed.load(Ordering::SeqCst), 2);
+    for i in [0, 1, 3] {
+        assert!(
+            matches!(results[i].outcome, Err(SweepError::Accel(_))),
+            "{}",
+            results[i].label
+        );
+    }
+    assert_eq!(*results[2].expect_ok(), 2);
+    let on_disk: Checkpoint<u64> = Checkpoint::load(&path).expect("checkpoint loads");
+    assert_eq!(on_disk.len(), 1, "only the healthy point persists");
+
+    // A resume re-runs the leader once and serves its followers again.
+    let executed = AtomicUsize::new(0);
+    let resumed = sweep_map_checkpointed(keyed(&fps), ckpt(&path, true, 2), |fp| {
+        executed.fetch_add(1, Ordering::SeqCst);
+        Ok(fp)
+    });
+    assert_eq!(executed.load(Ordering::SeqCst), 1);
+    assert!(resumed.iter().all(|r| r.outcome.is_ok()));
+    assert!(is_follower(&resumed[1]) && is_follower(&resumed[3]));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn follower_of_a_checkpointed_leader_is_not_resimulated() {
+    let path = scratch_checkpoint("dedup_cached_leader");
+    let _ = std::fs::remove_file(&path);
+    // The leader alone completes first (e.g. before a crash).
+    sweep_map_checkpointed(keyed(&[7]), ckpt(&path, false, 1), |fp| Ok(fp * 10));
+    let executed = AtomicUsize::new(0);
+    let resumed = sweep_map_checkpointed(keyed(&[7, 7, 8]), ckpt(&path, true, 2), |fp| {
+        executed.fetch_add(1, Ordering::SeqCst);
+        Ok(fp * 10)
+    });
+    assert_eq!(executed.load(Ordering::SeqCst), 1, "only p2 simulates");
+    assert!(resumed[0].cached);
+    assert!(is_follower(&resumed[1]));
+    assert_eq!(*resumed[1].expect_ok(), 70);
+    let on_disk: Checkpoint<u64> = Checkpoint::load(&path).expect("checkpoint loads");
+    assert!(on_disk.lookup("p1", 7).is_some(), "the copy is persisted");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn dedup_keeps_submission_order_under_any_scheduling() {
+    // Earlier leaders sleep longer, so completion order is reversed.
+    let fps: Vec<u64> = (0..24).map(|i| i % 7).collect();
+    for threads in [1, 4] {
+        let executed = AtomicUsize::new(0);
+        let results = sweep_map_checkpointed(keyed(&fps), opts(threads), |fp| {
+            executed.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(2 * (7 - fp)));
+            Ok(fp)
+        });
+        assert_eq!(executed.load(Ordering::SeqCst), 7);
+        for (i, (r, fp)) in results.iter().zip(&fps).enumerate() {
+            assert_eq!(r.label, format!("p{i}"));
+            assert_eq!(r.expect_ok(), fp);
+            assert_eq!(is_follower(r), i >= 7, "{}", r.label);
+        }
+    }
 }
