@@ -15,16 +15,9 @@
 //! simulate). `--trace <path>` re-runs one representative shape per
 //! dataflow with a buffered tracer (WS on pid lane 0, OS on lane 1) and
 //! exports the combined Chrome `trace_event` JSON.
-//!
-//! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
-//! has the `--shards` supervisor kill and retry a worker whose heartbeat
-//! stops advancing; `--point-timeout <secs>` records a wedged point as a
-//! first-class `failed:timeout` checkpoint entry and finishes the sweep
-//! with a failure summary and exit 3 instead of hanging; `--faults
-//! <schedule>` arms the deterministic fault-injection registry
-//! ([`gemmini_soc::fault`]) for chaos testing.
 
-use gemmini_bench::{section, sharded_sweep_map, trace_path};
+use gemmini_bench::cli::SWEEP_FLAGS;
+use gemmini_bench::{section, Cli};
 use gemmini_soc::checkpoint::debug_fingerprint;
 
 use gemmini_core::config::{Dataflow, GemminiConfig};
@@ -165,6 +158,7 @@ fn run(dataflow: Dataflow, mb: usize, kb: usize, tracer: Tracer) -> u64 {
 }
 
 fn main() {
+    let cli = Cli::parse(&[SWEEP_FLAGS]);
     section("Dataflow ablation: WS vs OS, 16-wide GEMM columns (cycles)");
     println!(
         "{:>6} {:>6} {:>12} {:>12} {:>10}",
@@ -188,7 +182,7 @@ fn main() {
                 })
         })
         .collect();
-    let Some(results) = sharded_sweep_map(tasks, |(df, mb, kb)| {
+    let Some(results) = cli.sharded_sweep_map(tasks, None, |(df, mb, kb)| {
         Ok(run(df, mb, kb, Tracer::disabled()))
     }) else {
         return; // shard worker: the checkpoint file is the output
@@ -211,12 +205,12 @@ fn main() {
 
     // --trace: both dataflows on the balanced 4×4 shape into one file,
     // each in its own pid lane so Perfetto shows them side by side.
-    if let Some(path) = trace_path() {
+    if let Some(path) = &cli.trace {
         let (tracer, sink) = Tracer::buffered();
         run(Dataflow::WeightStationary, 4, 4, tracer.with_pid(0));
         run(Dataflow::OutputStationary, 4, 4, tracer.with_pid(1));
         let events = sink.lock().expect("trace sink lock").take();
-        export_chrome_trace(&path, &events)
+        export_chrome_trace(path, &events)
             .unwrap_or_else(|e| panic!("cannot write trace {}: {e}", path.display()));
         eprintln!(
             "trace: wrote {} events for 'WS/OS m=4 k=4' to {}",

@@ -9,18 +9,9 @@
 //! (no axis-insensitivity rule covers a network sweep). `--trace <path>`
 //! exports a Chrome `trace_event` JSON of the ResNet-style workload on
 //! the edge configuration.
-//!
-//! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
-//! has the `--shards` supervisor kill and retry a worker whose heartbeat
-//! stops advancing; `--point-timeout <secs>` records a wedged point as a
-//! first-class `failed:timeout` checkpoint entry and finishes the sweep
-//! with a failure summary and exit 3 instead of hanging; `--faults
-//! <schedule>` arms the deterministic fault-injection registry
-//! ([`gemmini_soc::fault`]) for chaos testing.
 
-use gemmini_bench::{
-    export_trace_run, quick_mode, quick_resnet, resnet_workload, section, sharded_sweep, trace_path,
-};
+use gemmini_bench::cli::SWEEP_FLAGS;
+use gemmini_bench::{export_trace_run, quick_resnet, resnet_workload, section, Cli};
 use gemmini_dnn::zoo;
 use gemmini_soc::run::{CoreReport, SocReport};
 use gemmini_soc::sweep::DesignPoint;
@@ -38,12 +29,13 @@ fn activity(report: &SocReport, core: &CoreReport) -> RunActivity {
 }
 
 fn main() {
-    let nets = if quick_mode() {
+    let cli = Cli::parse(&[SWEEP_FLAGS]);
+    let nets = if cli.quick {
         vec![quick_resnet()]
     } else {
         zoo::all()
     };
-    let extreme_net = resnet_workload();
+    let extreme_net = resnet_workload(cli.quick);
     let extremes = [
         (
             "TPU-like (pipelined)",
@@ -66,13 +58,13 @@ fn main() {
         cfg.cores[0].accel = accel.clone();
         sweep.push(DesignPoint::timing(*name, cfg, &extreme_net));
     }
-    let Some(results) = sharded_sweep(sweep) else {
+    let Some(results) = cli.sharded_sweep(sweep, None) else {
         return; // shard worker: the checkpoint file is the output
     };
 
-    if let Some(path) = trace_path() {
+    if let Some(path) = &cli.trace {
         export_trace_run(
-            &path,
+            path,
             extreme_net.name(),
             &SocConfig::edge_single_core(),
             std::slice::from_ref(&extreme_net),

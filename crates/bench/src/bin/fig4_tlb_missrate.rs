@@ -5,16 +5,18 @@
 //! 20–30% around layer transitions (tiled workloads touch fresh pages in
 //! bursts), orders of magnitude above classic CPU workload TLB miss rates.
 
-use gemmini_bench::{bar, quick_mode, resnet_workload, section};
+use gemmini_bench::cli::QUICK;
+use gemmini_bench::{bar, resnet_workload, section, Cli};
 use gemmini_soc::run::{run_networks, RunOptions};
 use gemmini_soc::soc::SocConfig;
 
 fn main() {
-    let net = resnet_workload();
+    let cli = Cli::parse(&[QUICK]);
+    let net = resnet_workload(cli.quick);
     let mut cfg = SocConfig::edge_single_core();
     // Fig. 4 profiles the small private TLB of the edge co-design study.
     cfg.cores[0].translation.private.entries = 4;
-    cfg.cores[0].translation.stats_window = if quick_mode() { 20_000 } else { 200_000 };
+    cfg.cores[0].translation.stats_window = if cli.quick { 20_000 } else { 200_000 };
 
     section(&format!(
         "Fig. 4: TLB miss rate over a full {} inference",

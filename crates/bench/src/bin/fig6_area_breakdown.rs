@@ -6,14 +6,16 @@
 //! Paper numbers to hold: spatial array 11.3%, scratchpad 52.9%,
 //! accumulator 14.2%, CPU 16.6%, total ≈1,029 kµm²; SRAMs ≈67.1%.
 
+use gemmini_bench::cli::JSON_DOC;
 use gemmini_bench::figures::fig6_json;
-use gemmini_bench::{json_path, section, write_json_doc};
+use gemmini_bench::{section, write_json_doc, Cli};
 use gemmini_core::config::GemminiConfig;
 use gemmini_synth::area::{soc_area, CpuKind};
 use gemmini_synth::floorplan::Floorplan;
 use gemmini_synth::report::area_table;
 
 fn main() {
+    let cli = Cli::parse(&[JSON_DOC]);
     let cfg = GemminiConfig::edge();
     let report = soc_area(&cfg, CpuKind::Rocket);
 
@@ -65,8 +67,8 @@ fn main() {
         println!("{name}: total {:.0} kum2", r.total_um2() / 1000.0);
     }
 
-    if let Some(path) = json_path() {
-        write_json_doc(&path, &fig6_json());
+    if let Some(path) = &cli.json {
+        write_json_doc(path, &fig6_json());
         eprintln!("fig6: wrote {}", path.display());
     }
 }

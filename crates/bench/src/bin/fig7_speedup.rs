@@ -18,19 +18,10 @@
 //! accelerator variants, for which no axis-insensitivity rule exists, so
 //! every point always runs. `tests/golden_figures.rs` guards the
 //! quick-mode numbers.
-//!
-//! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
-//! has the `--shards` supervisor kill and retry a worker whose heartbeat
-//! stops advancing; `--point-timeout <secs>` records a wedged point as a
-//! first-class `failed:timeout` checkpoint entry and finishes the sweep
-//! with a failure summary and exit 3 instead of hanging; `--faults
-//! <schedule>` arms the deterministic fault-injection registry
-//! ([`gemmini_soc::fault`]) for chaos testing.
 
+use gemmini_bench::cli::{ONLY, SWEEP_FLAGS};
 use gemmini_bench::figures::{fig7_points, FIG7_VARIANTS};
-use gemmini_bench::{
-    arg_value, export_trace_run, quick_mode, quick_resnet, section, sharded_sweep, trace_path,
-};
+use gemmini_bench::{export_trace_run, quick_resnet, section, Cli};
 use gemmini_cpu::kernels::network_cpu_cycles;
 use gemmini_cpu::{CpuKind, CpuModel};
 use gemmini_dnn::graph::Network;
@@ -44,12 +35,13 @@ struct Row {
 }
 
 fn main() {
-    let nets: Vec<Network> = if quick_mode() {
+    let cli = Cli::parse(&[SWEEP_FLAGS, ONLY]);
+    let nets: Vec<Network> = if cli.quick {
         vec![quick_resnet(), zoo::tiny_cnn()]
-    } else if let Some(name) = arg_value("--only") {
+    } else if let Some(name) = &cli.only {
         zoo::all()
             .into_iter()
-            .filter(|n| n.name().contains(&name))
+            .filter(|n| n.name().contains(name.as_str()))
             .collect()
     } else {
         zoo::all()
@@ -60,16 +52,16 @@ fn main() {
     let clock = 1.0; // GHz, as in the paper's FPS numbers
 
     // One sweep point per (network, variant), in row-major order.
-    let Some(results) = sharded_sweep(fig7_points(&nets)) else {
+    let Some(results) = cli.sharded_sweep(fig7_points(&nets), None) else {
         return; // shard worker: the checkpoint file is the output
     };
 
-    if let Some(path) = trace_path() {
+    if let Some(path) = &cli.trace {
         let point = fig7_points(&nets)
             .into_iter()
             .next()
             .expect("fig7 has at least one point");
-        export_trace_run(&path, &point.label, &point.config, &point.networks);
+        export_trace_run(path, &point.label, &point.config, &point.networks);
     }
 
     let rows: Vec<Row> = nets

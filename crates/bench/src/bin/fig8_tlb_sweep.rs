@@ -24,19 +24,12 @@
 //! whose `shared=0` basis is provably insensitive to the axis are skipped
 //! and their reports predicted from the basis, with the evidence recorded
 //! in the checkpoint.
-//!
-//! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
-//! has the `--shards` supervisor kill and retry a worker whose heartbeat
-//! stops advancing; `--point-timeout <secs>` records a wedged point as a
-//! first-class `failed:timeout` checkpoint entry and finishes the sweep
-//! with a failure summary and exit 3 instead of hanging; `--faults
-//! <schedule>` arms the deterministic fault-injection registry
-//! ([`gemmini_soc::fault`]) for chaos testing.
 
+use gemmini_bench::cli::SWEEP_FLAGS;
 use gemmini_bench::figures::{
     fig8_grid, fig8_points, fig8_prune_policy, FIG8_PRIVATES, FIG8_SHAREDS,
 };
-use gemmini_bench::{export_trace_run, resnet_workload, section, sharded_sweep_with, trace_path};
+use gemmini_bench::{export_trace_run, resnet_workload, section, Cli};
 use gemmini_soc::sweep::merge_memory_stats;
 
 struct Point {
@@ -50,14 +43,15 @@ struct Point {
 }
 
 fn main() {
-    let net = resnet_workload();
+    let cli = Cli::parse(&[SWEEP_FLAGS]);
+    let net = resnet_workload(cli.quick);
     let privates = FIG8_PRIVATES;
     let shareds = FIG8_SHAREDS;
     let grid = fig8_grid();
     let sweep = fig8_points(&net);
 
-    let trace_point = trace_path().map(|path| (path, sweep[0].clone()));
-    let Some(results) = sharded_sweep_with(sweep, Some(fig8_prune_policy())) else {
+    let trace_point = cli.trace.clone().map(|path| (path, sweep[0].clone()));
+    let Some(results) = cli.sharded_sweep(sweep, Some(fig8_prune_policy())) else {
         return; // shard worker: the checkpoint file is the output
     };
     if let Some((path, point)) = trace_point {

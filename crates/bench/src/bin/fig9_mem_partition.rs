@@ -17,17 +17,10 @@
 //! whole point of this figure is that repartitioning moves DRAM and L2
 //! behaviour, the rule should (correctly) refuse to prune anything — the
 //! flag here demonstrates the soundness gate, not a speedup.
-//!
-//! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
-//! has the `--shards` supervisor kill and retry a worker whose heartbeat
-//! stops advancing; `--point-timeout <secs>` records a wedged point as a
-//! first-class `failed:timeout` checkpoint entry and finishes the sweep
-//! with a failure summary and exit 3 instead of hanging; `--faults
-//! <schedule>` arms the deterministic fault-injection registry
-//! ([`gemmini_soc::fault`]) for chaos testing.
 
+use gemmini_bench::cli::SWEEP_FLAGS;
 use gemmini_bench::figures::{fig9_points, FIG9_CONFIGS};
-use gemmini_bench::{export_trace_run, resnet_workload, section, sharded_sweep_with, trace_path};
+use gemmini_bench::{export_trace_run, resnet_workload, section, Cli};
 use gemmini_dnn::graph::LayerClass;
 use gemmini_mem::stats::SweepAxis;
 use gemmini_soc::run::SocReport;
@@ -57,7 +50,8 @@ fn total_cycles(o: &Outcome) -> f64 {
 }
 
 fn main() {
-    let net = resnet_workload();
+    let cli = Cli::parse(&[SWEEP_FLAGS]);
+    let net = resnet_workload(cli.quick);
 
     section("Fig. 9a: resource-contention SoC configurations");
     println!("Base : 256 KB scratchpad + 256 KB accumulator per core, 1 MB L2");
@@ -73,8 +67,8 @@ fn main() {
             ["BigSP", "BigL2"].map(|name| format!("{name} x{cores}")),
         );
     }
-    let trace_point = trace_path().map(|path| (path, sweep[0].clone()));
-    let Some(results) = sharded_sweep_with(sweep, Some(policy)) else {
+    let trace_point = cli.trace.clone().map(|path| (path, sweep[0].clone()));
+    let Some(results) = cli.sharded_sweep(sweep, Some(policy)) else {
         return; // shard worker: the checkpoint file is the output
     };
     if let Some((path, point)) = trace_point {

@@ -6,12 +6,15 @@
 //! cargo run --release -p gemmini-bench --bin profile_layers -- resnet50
 //! ```
 
+use gemmini_bench::cli::NETWORK;
+use gemmini_bench::Cli;
 use gemmini_soc::run::{run_networks, RunOptions};
 use gemmini_soc::soc::SocConfig;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "resnet50".into());
+    let cli = Cli::parse(&[NETWORK]);
+    let name = cli.positional.unwrap_or_else(|| "resnet50".into());
     let Some(net) = gemmini_dnn::zoo::all()
         .into_iter()
         .find(|n| n.name().contains(&name))

@@ -7,16 +7,9 @@
 //! The shard end-to-end tests (`tests/shard_e2e.rs`) and anyone smoke
 //! testing the supervisor by hand use this: a full 2-shard supervised
 //! run with a crash and retry finishes in well under a second.
-//!
-//! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
-//! has the `--shards` supervisor kill and retry a worker whose heartbeat
-//! stops advancing; `--point-timeout <secs>` records a wedged point as a
-//! first-class `failed:timeout` checkpoint entry and finishes the sweep
-//! with a failure summary and exit 3 instead of hanging; `--faults
-//! <schedule>` arms the deterministic fault-injection registry
-//! ([`gemmini_soc::fault`]) for chaos testing.
 
-use gemmini_bench::{section, sharded_sweep_map};
+use gemmini_bench::cli::SWEEP_FLAGS;
+use gemmini_bench::{section, Cli};
 use gemmini_soc::checkpoint::debug_fingerprint;
 
 /// A pure, platform-independent integer mix (splitmix64 finalizer): the
@@ -30,10 +23,11 @@ fn mix(i: u64) -> u64 {
 }
 
 fn main() {
+    let cli = Cli::parse(&[SWEEP_FLAGS]);
     let points: Vec<(String, u64, u64)> = (0..8u64)
         .map(|i| (format!("point{i}"), debug_fingerprint(&i), i))
         .collect();
-    let Some(results) = sharded_sweep_map(points, |i| Ok(mix(i))) else {
+    let Some(results) = cli.sharded_sweep_map(points, None, |i| Ok(mix(i))) else {
         return; // shard worker: the checkpoint file is the output
     };
     section("shard smoke payloads");

@@ -4,10 +4,11 @@
 //! Gemmini column is cross-checked against what this reproduction actually
 //! implements.)
 
-use gemmini_bench::section;
+use gemmini_bench::{section, Cli};
 use gemmini_core::config::GemminiConfig;
 
 fn main() {
+    Cli::parse(&[]);
     section("Table I: Comparison of DNN accelerator generators");
     let rows = [
         (

@@ -2,35 +2,39 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper's
 //! evaluation (see `DESIGN.md`'s per-experiment index). This library holds
-//! the bits they share: simple table/series printing and the common
-//! command-line conventions (`--quick` runs a scaled-down workload so the
-//! binary finishes in seconds; the default reproduces the full experiment).
+//! the bits they share: simple table/series printing, the command-line
+//! front end ([`cli`]: `--quick` runs a scaled-down workload so the binary
+//! finishes in seconds; the default reproduces the full experiment), and
+//! the sweep entry points [`Cli::sharded_sweep`] and
+//! [`Cli::sharded_sweep_map`].
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::OnceLock;
-use std::time::Duration;
 
 use gemmini_core::metrics::Metrics;
 use gemmini_core::trace::{export_chrome_trace, Tracer};
 use gemmini_core::AccelError;
 use gemmini_dnn::graph::{Activation, Layer, Network, PoolKind};
 use gemmini_mem::json::{FromJson, Json, ToJson};
+use gemmini_soc::fault;
 use gemmini_soc::prune::{summarize, Attributed, PrunePolicy};
 use gemmini_soc::run::{
     run_networks, run_networks_metered, run_networks_traced, RunOptions, SocReport,
 };
-use gemmini_soc::shard::{run_sharded, ShardCli, ShardError, ShardSpec};
+use gemmini_soc::shard::{run_sharded, ShardCli, ShardError};
 use gemmini_soc::sweep::EXIT_RECORDED_FAILURES;
 use gemmini_soc::SocConfig;
 
+pub mod cli;
 pub mod figures;
+
+pub use cli::Cli;
 
 /// The shared design-space sweep executor (re-exported so the figure
 /// binaries have one import path for both printing helpers and sweeps).
 pub use gemmini_soc::shard;
 pub use gemmini_soc::sweep;
-pub use gemmini_soc::sweep::{run_sweep, DesignPoint, SweepOptions, SweepResult};
+pub use gemmini_soc::sweep::{DesignPoint, SweepOptions, SweepResult};
 
 /// Prints a named section header.
 pub fn section(title: &str) {
@@ -63,118 +67,14 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
-/// Whether `--quick` was passed (scaled-down workloads for smoke runs).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// Returns the argument following `flag`, if present.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The `--json <path>` argument: where to persist machine-readable
-/// per-point results (the sweep checkpoint file).
-pub fn json_path() -> Option<PathBuf> {
-    arg_value("--json").map(PathBuf::from)
-}
-
-/// Whether `--resume` was passed (skip points already completed in the
-/// `--json` checkpoint file).
-pub fn resume_flag() -> bool {
-    std::env::args().any(|a| a == "--resume")
-}
-
-/// Whether attribution-guided pruning was requested: the last of
-/// `--prune` / `--no-prune` on the command line wins, and the default is
-/// off — pruning must always be an explicit opt-in because it replaces
-/// simulations with predictions.
-pub fn prune_flag() -> bool {
-    std::env::args()
-        .rfind(|a| a == "--prune" || a == "--no-prune")
-        .is_some_and(|a| a == "--prune")
-}
-
-/// The `--trace <path>` argument: where to write a Chrome `trace_event`
-/// JSON file for one representative run (open it in `chrome://tracing`
-/// or Perfetto).
-pub fn trace_path() -> Option<PathBuf> {
-    arg_value("--trace").map(PathBuf::from)
-}
-
-/// The `--status <path>` argument: where the sweep rewrites its live
-/// JSON heartbeat ([`gemmini_soc::telemetry::Heartbeat`]) — atomically,
-/// on every point completion and every ~2 s. `watch cat <path>` is the
-/// intended consumer; under `--shards` the supervisor aggregates its
-/// children's heartbeats here.
-pub fn status_path() -> Option<PathBuf> {
-    arg_value("--status").map(PathBuf::from)
-}
-
-/// The `--metrics <path>` argument: where to write the final live-metrics
-/// registry snapshot as Prometheus text exposition when the sweep ends.
-pub fn metrics_path() -> Option<PathBuf> {
-    arg_value("--metrics").map(PathBuf::from)
-}
-
-/// Parses a `--flag <secs>` duration argument (fractional seconds
-/// allowed). Exits with status `2` on a non-positive or unparseable
-/// value — a mistyped budget must not silently disable the feature.
-fn duration_flag(flag: &str) -> Option<Duration> {
-    let v = arg_value(flag)?;
-    match v.trim().parse::<f64>() {
-        Ok(secs) if secs > 0.0 && secs.is_finite() => Some(Duration::from_secs_f64(secs)),
-        _ => {
-            eprintln!("error: {flag} requires a positive number of seconds (got '{v}')");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The `--point-timeout <secs>` argument: per-point wall-clock budget.
-/// A point exceeding it is recorded as a first-class `failed:timeout`
-/// checkpoint entry and the sweep finishes with a failure summary and a
-/// non-zero exit (see [`gemmini_soc::sweep::SweepOptions`]).
-pub fn point_timeout_flag() -> Option<Duration> {
-    duration_flag("--point-timeout")
-}
-
-/// The `--watchdog <secs>` argument: the `--shards` supervisor kills and
-/// retries any worker whose heartbeat `done` count does not advance for
-/// this long (see [`gemmini_soc::shard::SupervisorOptions`]).
-pub fn watchdog_flag() -> Option<Duration> {
-    duration_flag("--watchdog")
-}
-
 /// The status base the watchdog falls back to when `--watchdog` is given
 /// without `--status`: `sweep.jsonl` → `sweep.status.json` next to the
 /// checkpoint. Workers and the supervisor both derive this from the
-/// forwarded `--json`/`--watchdog` flags, so they agree on where the
+/// same `--json`/`--watchdog` flags, so they agree on where the
 /// heartbeats live without any extra plumbing.
 fn derived_status_path(json: &Path) -> PathBuf {
     let stem = json.file_stem().and_then(|s| s.to_str()).unwrap_or("sweep");
     json.with_file_name(format!("{stem}.status.json"))
-}
-
-/// The process-wide live-metrics handle: one shared registry, enabled
-/// iff `--status` or `--metrics` was passed; otherwise the disabled
-/// (free) handle. Shared so the sweep executor's point counters and
-/// every simulated point's engine/DMA/TLB/DRAM instrumentation land in
-/// the same registry that the heartbeat and exposition files export.
-pub fn cli_metrics() -> Metrics {
-    static METRICS: OnceLock<Metrics> = OnceLock::new();
-    METRICS
-        .get_or_init(|| {
-            if status_path().is_some() || metrics_path().is_some() {
-                Metrics::enabled().0
-            } else {
-                Metrics::disabled()
-            }
-        })
-        .clone()
 }
 
 /// Re-runs one design point in timing mode with a buffered tracer and
@@ -198,239 +98,186 @@ pub fn export_trace_run(path: &Path, label: &str, config: &SocConfig, nets: &[Ne
     );
 }
 
-/// Sweep options resolved from the shared CLI conventions: `--json`
-/// wires the checkpoint path, `--resume` enables skip-completed mode.
-pub fn sweep_cli_options() -> SweepOptions {
-    sweep_cli_options_with(None)
-}
-
-/// [`sweep_cli_options`] plus this sweep's prune policy: `--prune`
-/// activates `policy` (and warns when the binary has no
-/// axis-insensitivity rule for its grid, in which case every point still
-/// runs); `--no-prune`, or neither flag, leaves pruning off.
-pub fn sweep_cli_options_with(policy: Option<PrunePolicy>) -> SweepOptions {
-    let checkpoint = json_path();
-    let resume = resume_flag();
-    if resume && checkpoint.is_none() {
-        eprintln!("warning: --resume has no effect without --json <path>");
-    }
-    let prune = if prune_flag() {
-        if policy.is_none() {
+impl Cli {
+    /// The sweep options these flags select: `--json` wires the
+    /// checkpoint, `--resume` the skip-completed mode, `--prune`
+    /// activates `policy` (warning when the binary has none, in which
+    /// case every point still runs), and `--status`/`--metrics` enable
+    /// one live-metrics registry shared by the executor and every
+    /// simulated point.
+    fn sweep_options(&self, policy: Option<PrunePolicy>) -> SweepOptions {
+        if self.resume && self.json.is_none() {
+            eprintln!("warning: --resume has no effect without --json <path>");
+        }
+        if self.prune && policy.is_none() {
             eprintln!(
                 "warning: --prune: no axis-insensitivity rule for this sweep's grid; \
                  running every point"
             );
         }
-        policy
-    } else {
-        None
-    };
-    if let Some(schedule) = arg_value("--faults") {
-        // Set the schedule in our environment so shard worker children
-        // inherit it, and arm eagerly so a typo'd schedule is reported
-        // before the sweep starts rather than silently ignored mid-run.
-        std::env::set_var(gemmini_soc::fault::FAULTS_ENV, &schedule);
-        gemmini_soc::fault::arm();
-    }
-    let watchdog = watchdog_flag();
-    let mut status = status_path();
-    if watchdog.is_some() && status.is_none() {
-        // The watchdog reads worker heartbeats; without --status it
-        // derives a status base from the checkpoint path. Workers derive
-        // the same base from their forwarded flags, so supervisor and
-        // children agree without extra plumbing.
-        status = checkpoint.as_deref().map(derived_status_path);
-        match &status {
-            Some(path) => eprintln!(
-                "watchdog: no --status given; deriving heartbeat base {}",
-                path.display()
-            ),
-            None => eprintln!(
-                "warning: --watchdog without --json or --status has no heartbeats to watch"
-            ),
+        let mut status = self.status.clone();
+        if self.watchdog.is_some() && status.is_none() {
+            // The watchdog reads worker heartbeats; without --status it
+            // derives a status base from the checkpoint path. Workers
+            // derive the same base from the same flags.
+            status = self.json.as_deref().map(derived_status_path);
+            match &status {
+                Some(path) => eprintln!(
+                    "watchdog: no --status given; deriving heartbeat base {}",
+                    path.display()
+                ),
+                None => eprintln!(
+                    "warning: --watchdog without --json or --status has no heartbeats to watch"
+                ),
+            }
+        }
+        let metrics = if self.status.is_some() || self.metrics.is_some() {
+            Metrics::enabled().0
+        } else {
+            Metrics::disabled()
+        };
+        SweepOptions {
+            checkpoint: self.json.clone(),
+            resume: self.resume,
+            prune: policy.filter(|_| self.prune),
+            metrics,
+            status,
+            prometheus: self.metrics.clone(),
+            point_timeout: self.point_timeout,
+            watchdog: self.watchdog,
+            ..SweepOptions::default()
         }
     }
-    SweepOptions {
-        checkpoint,
-        resume,
-        prune,
-        metrics: cli_metrics(),
-        status,
-        prometheus: metrics_path(),
-        point_timeout: point_timeout_flag(),
-        watchdog,
-        ..SweepOptions::default()
+
+    /// The sweep entry point of every binary with its own per-point
+    /// work: runs `items` — `(label, fingerprint, item)` triples — under
+    /// this command line's shard mode, checkpoint, telemetry, fault and
+    /// prune flags (`policy` takes effect only under `--prune`).
+    ///
+    /// Returns `None` when this process was a shard worker (`--shard`):
+    /// its job was producing the shard checkpoint file, there is nothing
+    /// to render, and `main` should simply return. In every other mode
+    /// the full-grid results come back in submission order.
+    ///
+    /// Exits the process with status `1` on an execution error
+    /// (supervisor exhaustion, incomplete merge, or failed shard points
+    /// — the non-zero exit is what tells a supervisor to retry this
+    /// worker), and [`EXIT_RECORDED_FAILURES`] when the grid finished
+    /// but carries recorded point failures (e.g. `--point-timeout`
+    /// entries): the checkpoint is complete, a terminal failure summary
+    /// is printed, and retrying would not improve the result.
+    pub fn sharded_sweep_map<I, T, F>(
+        &self,
+        items: Vec<(String, u64, I)>,
+        policy: Option<PrunePolicy>,
+        f: F,
+    ) -> Option<Vec<SweepResult<T>>>
+    where
+        I: Send,
+        T: ToJson + FromJson + Clone + Attributed + Send,
+        F: Fn(I) -> Result<T, AccelError> + Sync,
+    {
+        self.run_grid(items, self.sweep_options(policy), f)
     }
-}
 
-/// The process's own arguments minus the sharding flags — what a shard
-/// worker child should inherit. `--shard`/`--shards` (and values),
-/// `--merge` (and its paths) and `--resume` are stripped; the supervisor
-/// re-appends `--shard i/N --resume` per child. Everything else
-/// (`--quick`, `--json`, `--only`, …) passes through unchanged.
-fn forwarded_args<A>(args: A) -> Vec<String>
-where
-    A: IntoIterator<Item = String>,
-{
-    let mut out = Vec::new();
-    let mut it = args.into_iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--shards" | "--shard" => {
-                it.next();
-            }
-            "--merge" => {
-                while it.peek().is_some_and(|a| !a.starts_with("--")) {
-                    it.next();
-                }
-            }
-            "--resume" => {}
-            _ => out.push(arg),
-        }
+    /// [`Cli::sharded_sweep_map`] for [`DesignPoint`] grids: each point
+    /// is simulated with the sweep's live-metrics handle attached.
+    pub fn sharded_sweep(
+        &self,
+        points: Vec<DesignPoint>,
+        policy: Option<PrunePolicy>,
+    ) -> Option<Vec<SweepResult<SocReport>>> {
+        let items = points
+            .into_iter()
+            .map(|p| (p.label.clone(), p.fingerprint(), p))
+            .collect();
+        let opts = self.sweep_options(policy);
+        let metrics = opts.metrics.clone();
+        self.run_grid(items, opts, move |p: DesignPoint| {
+            run_networks_metered(&p.config, &p.networks, &p.options, &metrics)
+        })
     }
-    out
-}
 
-/// Builds the worker-process command for one shard: the current binary,
-/// re-invoked with the same arguments plus `--shard i/N --resume` (resume
-/// so a supervisor *retry* of a crashed shard picks up from its
-/// checkpoint instead of starting over).
-///
-/// # Panics
-///
-/// Panics if the current executable path cannot be resolved.
-pub fn shard_child_command(spec: ShardSpec) -> Command {
-    let exe = std::env::current_exe().expect("current executable path");
-    let mut cmd = Command::new(exe);
-    cmd.args(forwarded_args(std::env::args().skip(1)));
-    cmd.arg("--shard").arg(spec.to_string()).arg("--resume");
-    cmd
-}
-
-/// The generic sharded sweep entry point for the figure binaries: parses
-/// the sharding CLI (`--shard i/N` / `--shards N` / `--merge <file>…`)
-/// alongside the usual sweep flags and dispatches through
-/// [`gemmini_soc::shard::run_sharded`].
-///
-/// Returns `None` when this process was a shard worker (`--shard`): its
-/// job was producing the shard checkpoint file, there is nothing to
-/// render, and `main` should simply return. In every other mode the
-/// full-grid results come back in submission order.
-///
-/// Exits the process with status `2` on a malformed sharding CLI, `1`
-/// on an execution error (supervisor exhaustion, incomplete merge, or
-/// failed shard points — the non-zero exit is what tells a supervisor to
-/// retry this worker), and [`EXIT_RECORDED_FAILURES`] when the grid
-/// finished but carries recorded point failures (e.g. `--point-timeout`
-/// entries): the checkpoint is complete, a terminal failure summary is
-/// printed, and retrying would not improve the result.
-pub fn sharded_sweep_map<I, T, F>(items: Vec<(String, u64, I)>, f: F) -> Option<Vec<SweepResult<T>>>
-where
-    I: Send,
-    T: ToJson + FromJson + Clone + Attributed + Send,
-    F: Fn(I) -> Result<T, AccelError> + Sync,
-{
-    sharded_sweep_map_with(items, None, f)
-}
-
-/// [`sharded_sweep_map`] plus the sweep's prune policy (activated only
-/// under `--prune`, see [`sweep_cli_options_with`]). When results come
-/// back from a merge or a supervised run, a prune summary is printed
-/// from the stitched entries, mirroring the in-process executor's line.
-pub fn sharded_sweep_map_with<I, T, F>(
-    items: Vec<(String, u64, I)>,
-    policy: Option<PrunePolicy>,
-    f: F,
-) -> Option<Vec<SweepResult<T>>>
-where
-    I: Send,
-    T: ToJson + FromJson + Clone + Attributed + Send,
-    F: Fn(I) -> Result<T, AccelError> + Sync,
-{
-    let cli = match ShardCli::from_args(std::env::args().skip(1)) {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    let opts = sweep_cli_options_with(policy);
-    let prune_active = opts.prune.is_some();
-    let stitched = cli.supervise.is_some() || !cli.merge.is_empty();
-    match run_sharded(items, &cli, opts, shard_child_command, f) {
-        Ok(results) => {
-            if let (Some(results), true, true) = (&results, prune_active, stitched) {
-                let s = summarize(results);
-                eprintln!(
-                    "sweep: pruned {}/{} point(s) across shards ({} simulated)",
-                    s.pruned,
-                    s.total(),
-                    s.ran
-                );
-            }
-            // The grid may carry recorded failures (e.g. point timeouts
-            // served from a checkpoint on resume, or stitched in by a
-            // merge): the sweep *finished* — every point is on the books
-            // — but the figure cannot be rendered from an incomplete
-            // grid. Print the terminal failure summary and exit with the
-            // recorded-failures status instead of handing `Err` outcomes
-            // to a renderer that expects successes.
-            if let Some(results) = &results {
-                let recorded: Vec<&SweepResult<T>> =
-                    results.iter().filter(|r| r.outcome.is_err()).collect();
-                if !recorded.is_empty() {
-                    eprintln!(
-                        "sweep: finished with {} recorded point failure(s):",
-                        recorded.len()
-                    );
-                    for r in &recorded {
-                        if let Err(e) = &r.outcome {
-                            eprintln!("  {}: {e}", r.label);
-                        }
-                    }
-                    eprintln!(
-                        "sweep: grid is fully accounted for but incomplete; \
-                         exiting {EXIT_RECORDED_FAILURES}"
-                    );
-                    std::process::exit(EXIT_RECORDED_FAILURES);
-                }
-            }
-            results
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            let code = match &e {
-                // A complete slice with recorded failures is terminal:
-                // the supervisor must accept it rather than retry it.
-                ShardError::RecordedFailures { .. } => EXIT_RECORDED_FAILURES,
-                _ => 1,
+    fn run_grid<I, T, F>(
+        &self,
+        items: Vec<(String, u64, I)>,
+        opts: SweepOptions,
+        f: F,
+    ) -> Option<Vec<SweepResult<T>>>
+    where
+        I: Send,
+        T: ToJson + FromJson + Clone + Attributed + Send,
+        F: Fn(I) -> Result<T, AccelError> + Sync,
+    {
+        if let Some(schedule) = &self.faults {
+            let shard = match self.mode {
+                ShardCli::Shard(spec) => Some(spec.index),
+                _ => None,
             };
-            std::process::exit(code);
+            fault::arm(schedule, shard);
+        }
+        let prune_active = opts.prune.is_some();
+        let stitched = matches!(self.mode, ShardCli::Supervise(_) | ShardCli::Merge(_));
+        // A shard worker is this binary again, with the argv rendered
+        // from this command line in `--shard i/N --resume` mode.
+        let exe = std::env::current_exe().expect("current executable path");
+        let worker = |spec| {
+            let mut cmd = Command::new(&exe);
+            cmd.args(self.worker_args(spec));
+            cmd
+        };
+        match run_sharded(items, &self.mode, opts, worker, f) {
+            Ok(results) => {
+                if let (Some(results), true, true) = (&results, prune_active, stitched) {
+                    let s = summarize(results);
+                    eprintln!(
+                        "sweep: pruned {}/{} point(s) across shards ({} simulated)",
+                        s.pruned,
+                        s.total(),
+                        s.ran
+                    );
+                }
+                // The grid may carry recorded failures (e.g. point timeouts
+                // served from a checkpoint on resume, or stitched in by a
+                // merge): the sweep *finished* — every point is on the books
+                // — but the figure cannot be rendered from an incomplete
+                // grid. Print the terminal failure summary and exit with the
+                // recorded-failures status instead of handing `Err` outcomes
+                // to a renderer that expects successes.
+                if let Some(results) = &results {
+                    let recorded: Vec<&SweepResult<T>> =
+                        results.iter().filter(|r| r.outcome.is_err()).collect();
+                    if !recorded.is_empty() {
+                        eprintln!(
+                            "sweep: finished with {} recorded point failure(s):",
+                            recorded.len()
+                        );
+                        for r in &recorded {
+                            if let Err(e) = &r.outcome {
+                                eprintln!("  {}: {e}", r.label);
+                            }
+                        }
+                        eprintln!(
+                            "sweep: grid is fully accounted for but incomplete; \
+                             exiting {EXIT_RECORDED_FAILURES}"
+                        );
+                        std::process::exit(EXIT_RECORDED_FAILURES);
+                    }
+                }
+                results
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                let code = match &e {
+                    // A complete slice with recorded failures is terminal:
+                    // the supervisor must accept it rather than retry it.
+                    ShardError::RecordedFailures { .. } => EXIT_RECORDED_FAILURES,
+                    _ => 1,
+                };
+                std::process::exit(code);
+            }
         }
     }
-}
-
-/// [`sharded_sweep_map`] instantiated for [`DesignPoint`] sweeps — the
-/// drop-in sharded replacement for `run_sweep_with(points,
-/// sweep_cli_options())` in the figure binaries.
-pub fn sharded_sweep(points: Vec<DesignPoint>) -> Option<Vec<SweepResult<SocReport>>> {
-    sharded_sweep_with(points, None)
-}
-
-/// [`sharded_sweep`] plus the sweep's prune policy (activated only under
-/// `--prune`).
-pub fn sharded_sweep_with(
-    points: Vec<DesignPoint>,
-    policy: Option<PrunePolicy>,
-) -> Option<Vec<SweepResult<SocReport>>> {
-    let items = points
-        .into_iter()
-        .map(|p| (p.label.clone(), p.fingerprint(), p))
-        .collect();
-    let metrics = cli_metrics();
-    sharded_sweep_map_with(items, policy, move |p: DesignPoint| {
-        run_networks_metered(&p.config, &p.networks, &p.options, &metrics)
-    })
 }
 
 /// Writes one JSON document as a single line to `path` (the non-sweep
@@ -462,10 +309,10 @@ pub fn run_quick(cfg: &SocConfig) -> SocReport {
     run_networks(cfg, &[quick_resnet()], &RunOptions::timing()).expect("quick run succeeds")
 }
 
-/// The ResNet-class workload for the current mode: full ResNet50, or
-/// the reduced [`quick_resnet`] under `--quick`.
-pub fn resnet_workload() -> Network {
-    if quick_mode() {
+/// The ResNet-class workload: full ResNet50, or the reduced
+/// [`quick_resnet`] when `quick` (`--quick`).
+pub fn resnet_workload(quick: bool) -> Network {
+    if quick {
         quick_resnet()
     } else {
         gemmini_dnn::zoo::resnet50()
@@ -579,43 +426,6 @@ mod tests {
         assert!(net.count_of_class(LayerClass::ResAdd) >= 6);
         assert_eq!(net.count_of_class(LayerClass::Matmul), 1);
         assert!(net.total_macs() < 200_000_000);
-    }
-
-    #[test]
-    fn forwarded_args_strip_only_sharding_flags() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            forwarded_args(args(&[
-                "--quick",
-                "--shards",
-                "4",
-                "--json",
-                "out.jsonl",
-                "--resume"
-            ])),
-            args(&["--quick", "--json", "out.jsonl"])
-        );
-        assert_eq!(
-            forwarded_args(args(&["--shard", "1/2", "--only", "resnet"])),
-            args(&["--only", "resnet"])
-        );
-        assert_eq!(
-            forwarded_args(args(&["--merge", "a.jsonl", "b.jsonl", "--quick"])),
-            args(&["--quick"])
-        );
-        // Telemetry flags forward unchanged: each child derives its own
-        // per-shard status/metrics paths from the base paths.
-        assert_eq!(
-            forwarded_args(args(&[
-                "--shards",
-                "2",
-                "--status",
-                "status.json",
-                "--metrics",
-                "metrics.prom"
-            ])),
-            args(&["--status", "status.json", "--metrics", "metrics.prom"])
-        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end tests of the sharded multi-process sweep layer, driving
 //! the real binaries (via `CARGO_BIN_EXE_*`) exactly as a user or CI
-//! would: supervised shards with a crash injected mid-run, manual
-//! shard-then-merge flows, and resume progress accounting.
+//! would: supervised shards with a crash injected mid-run (`--faults`
+//! failpoint schedules), manual shard-then-merge flows, resume progress
+//! accounting, and the command-line front end's refusal of bad input.
 //!
 //! The load-bearing property throughout: every multi-process path —
 //! supervised, crashed-and-retried, hung-and-watchdog-killed, manually
@@ -33,7 +34,8 @@ fn run(bin: &str, args: &[&str], envs: &[(&str, &str)]) -> Output {
     cmd.args(args);
     // Serial workers keep checkpoint line order equal to submission
     // order, which the file-level comparisons below rely on; it also
-    // makes the crash hook deterministic (exactly k points persist).
+    // makes `sweep.point` faults deterministic (exactly k points persist
+    // before the fault at evaluation k+1).
     cmd.env("GEMMINI_THREADS", "1");
     for (k, v) in envs {
         cmd.env(k, v);
@@ -108,11 +110,15 @@ fn supervised_crash_retry_matches_single_process() {
     // must be retried from its checkpoint by the supervisor.
     let supervised = run(
         SMOKE,
-        &["--json", sharded.to_str().unwrap(), "--shards", "2"],
         &[
-            ("GEMMINI_TEST_CRASH_AFTER", "2"),
-            ("GEMMINI_TEST_CRASH_SHARD", "0"),
+            "--json",
+            sharded.to_str().unwrap(),
+            "--shards",
+            "2",
+            "--faults",
+            "sweep.point=abort@3#0",
         ],
+        &[],
     );
     let err = stderr(&supervised);
     assert!(supervised.status.success(), "supervisor recovers: {err}");
@@ -152,10 +158,15 @@ fn resume_progress_reports_true_grid_position() {
     // Fresh run crashes after 5 of 8 points persist.
     let crashed = run(
         SMOKE,
-        &["--json", ckpt.to_str().unwrap()],
-        &[("GEMMINI_TEST_CRASH_AFTER", "5")],
+        &[
+            "--json",
+            ckpt.to_str().unwrap(),
+            "--faults",
+            "sweep.point=abort@6",
+        ],
+        &[],
     );
-    assert!(!crashed.status.success(), "the crash hook must fire");
+    assert!(!crashed.status.success(), "the abort failpoint must fire");
     assert_eq!(Checkpoint::<u64>::load(&ckpt).unwrap().len(), 5);
 
     // The resume serves 5 cached points and runs the remaining 3; its
@@ -259,11 +270,10 @@ fn fig8_supervised_shards_bit_identical_to_single_process() {
             sharded.to_str().unwrap(),
             "--shards",
             "2",
+            "--faults",
+            "sweep.point=abort@4#1",
         ],
-        &[
-            ("GEMMINI_TEST_CRASH_AFTER", "3"),
-            ("GEMMINI_TEST_CRASH_SHARD", "1"),
-        ],
+        &[],
     );
     let err = stderr(&supervised);
     assert!(supervised.status.success(), "supervisor recovers: {err}");
@@ -283,12 +293,12 @@ fn fig8_supervised_shards_bit_identical_to_single_process() {
 }
 
 /// The hung-shard watchdog end to end: shard 0 wedges forever after
-/// persisting two points (`GEMMINI_TEST_HANG_AFTER`, scoped to one shard
-/// exactly like the crash hook). The supervisor's `--watchdog` budget
-/// must notice the frozen heartbeat `done` count, kill the worker, and
-/// retry it; the retry resumes from the shard checkpoint (cached points
-/// disarm the hang hook) and the merged output matches the
-/// single-process golden bit for bit.
+/// persisting two points (`sweep.point=hang@3#0`). The supervisor's
+/// `--watchdog` budget must notice the frozen heartbeat `done` count,
+/// kill the worker, and retry it; the retry resumes from the shard
+/// checkpoint (a sweep that served cached points never evaluates
+/// `sweep.point`) and the merged output matches the single-process
+/// golden bit for bit.
 #[test]
 fn supervised_watchdog_kills_hung_shard_and_recovers() {
     let dir = scratch_dir("smoke_watchdog");
@@ -307,18 +317,20 @@ fn supervised_watchdog_kills_hung_shard_and_recovers() {
             "2",
             "--watchdog",
             "1",
+            "--faults",
+            "sweep.point=hang@3#0",
         ],
-        &[
-            ("GEMMINI_TEST_HANG_AFTER", "2"),
-            ("GEMMINI_TEST_CRASH_SHARD", "0"),
-        ],
+        &[],
     );
     let err = stderr(&supervised);
     assert!(
         supervised.status.success(),
         "supervisor recovers from the hang: {err}"
     );
-    assert!(err.contains("hook: hanging in"), "{err}");
+    assert!(
+        err.contains("fault: hanging at failpoint 'sweep.point'"),
+        "{err}"
+    );
     assert!(err.contains("hung (no heartbeat progress"), "{err}");
     assert!(err.contains("killed by watchdog"), "{err}");
     assert!(err.contains("recovered on attempt 2"), "{err}");
@@ -354,8 +366,15 @@ fn point_timeout_records_failure_and_resume_serves_it() {
 
     let wedged = run(
         SMOKE,
-        &["--json", ckpt.to_str().unwrap(), "--point-timeout", "1"],
-        &[("GEMMINI_TEST_HANG_AFTER", "2")],
+        &[
+            "--json",
+            ckpt.to_str().unwrap(),
+            "--point-timeout",
+            "1",
+            "--faults",
+            "sweep.point=hang@3",
+        ],
+        &[],
     );
     let err = stderr(&wedged);
     assert_eq!(
@@ -372,8 +391,8 @@ fn point_timeout_records_failure_and_resume_serves_it() {
         .expect("the timeout must be on the books");
     assert_eq!(failed.reason, "timeout");
 
-    // No hang hook this time: the recorded failure alone must keep the
-    // point from being re-attempted.
+    // No fault schedule this time: the recorded failure alone must keep
+    // the point from being re-attempted.
     let resumed = run(
         SMOKE,
         &[
@@ -434,20 +453,19 @@ fn fig8_chaos_hang_and_corruption_heal_bit_identical() {
             "--watchdog",
             "2",
             "--faults",
-            "checkpoint.corrupt=corrupt@5",
+            "checkpoint.corrupt=corrupt@5#0,sweep.point=hang@4#1",
         ],
-        &[
-            ("GEMMINI_TEST_HANG_AFTER", "3"),
-            ("GEMMINI_TEST_CRASH_SHARD", "1"),
-            ("GEMMINI_FAULTS_SHARD", "0"),
-        ],
+        &[],
     );
     let err = stderr(&supervised);
     assert!(
         supervised.status.success(),
         "supervisor heals both injected faults: {err}"
     );
-    assert!(err.contains("hook: hanging in"), "{err}");
+    assert!(
+        err.contains("fault: hanging at failpoint 'sweep.point'"),
+        "{err}"
+    );
     assert!(err.contains("hung (no heartbeat progress"), "{err}");
     assert!(
         err.contains("quarantined 1 damaged line(s)"),
@@ -516,10 +534,17 @@ fn fig8_prune_survives_crash_resume_and_shards() {
     // cached bases, finishes the rest, and prunes the members.
     let crashed = run(
         FIG8,
-        &["--quick", "--prune", "--json", crash.to_str().unwrap()],
-        &[("GEMMINI_TEST_CRASH_AFTER", "3")],
+        &[
+            "--quick",
+            "--prune",
+            "--json",
+            crash.to_str().unwrap(),
+            "--faults",
+            "sweep.point=abort@4",
+        ],
+        &[],
     );
-    assert!(!crashed.status.success(), "the crash hook must fire");
+    assert!(!crashed.status.success(), "the abort failpoint must fire");
     let resumed = run(
         FIG8,
         &[
@@ -603,11 +628,10 @@ fn fig8_prune_survives_crash_resume_and_shards() {
             sharded.to_str().unwrap(),
             "--shards",
             "2",
+            "--faults",
+            "sweep.point=abort@3#0",
         ],
-        &[
-            ("GEMMINI_TEST_CRASH_AFTER", "2"),
-            ("GEMMINI_TEST_CRASH_SHARD", "0"),
-        ],
+        &[],
     );
     let err = stderr(&supervised);
     assert!(supervised.status.success(), "supervisor recovers: {err}");
@@ -700,4 +724,44 @@ fn fig7_serves_equal_fingerprint_points_from_one_run() {
     assert_checkpoints_equal_modulo_wall_and_order(&sharded, &ckpt);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bad input fails loudly: a typo'd flag, a flag missing its value,
+/// two shard modes and unfireable fault schedules all exit 2 with a
+/// usage line before a single point is simulated.
+#[test]
+fn bad_input_exits_2_before_simulating() {
+    for args in [
+        &["--quikc"][..],
+        &["--quick", "--point-timeout"],
+        &["--quick", "--shard", "0/2", "--shards", "2"],
+        &["--quick", "--faults", "sweep.point=explode"],
+        &["--quick", "--faults", "sweep.pont=hang"],
+    ] {
+        let out = run(FIG8, args, &[]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("usage: fig8_tlb_sweep [options]"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("[1/"), "{args:?} must not simulate: {err}");
+        assert_eq!(stdout(&out), "", "{args:?}");
+    }
+}
+
+/// `--help` prints the usage rendered from the flag table and exits 0
+/// without running anything.
+#[test]
+fn help_prints_usage_and_runs_nothing() {
+    let out = run(FIG8, &["--help"], &[]);
+    let text = stdout(&out);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        text.starts_with("usage: fig8_tlb_sweep [options]"),
+        "{text}"
+    );
+    assert!(text.contains("--point-timeout <secs>"), "{text}");
+    assert!(!text.contains("Fig. 8"), "no figure output: {text}");
+    assert_eq!(stderr(&out), "", "no sweep progress");
 }

@@ -14,7 +14,7 @@
 //! by staging through a retained buffer rather than loosening the bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use gemmini_core::config::{Dataflow, GemminiConfig};
 use gemmini_core::isa::{Instruction, LocalAddr};
@@ -32,21 +32,38 @@ use gemmini_vm::translator::{TranslationConfig, TranslationSystem};
 /// the global allocator. Deallocations are free and not counted.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The test harness runs tests on
+    /// parallel threads; a process-wide counter would charge one test's
+    /// measured pass with another test's allocations. `const` init with a
+    /// plain `Cell` registers no destructor, so touching it from inside
+    /// the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the slot is gone while a thread tears down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -251,14 +268,11 @@ fn steady_state_tile_step_does_not_allocate() {
 
     // The counter must be live, or the zero-delta assertion below would
     // pass vacuously.
-    assert!(
-        ALLOCATIONS.load(Ordering::SeqCst) > 0,
-        "counting allocator not installed"
-    );
+    assert!(allocations() > 0, "counting allocator not installed");
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     tile_pass(&mut accel, &mut r, dim);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -298,9 +312,9 @@ fn steady_state_with_live_metrics_does_not_allocate() {
     tile_pass(&mut accel, &mut r, dim);
     accel.compact_attribution();
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     tile_pass(&mut accel, &mut r, dim);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -3,61 +3,69 @@
 //! Long sharded sweeps must survive hung workers, torn checkpoint
 //! writes and corrupted lines — failure modes that are essentially
 //! untestable without a way to *cause* them on demand. This module is a
-//! process-wide registry of named failpoint sites, armed from the
-//! `GEMMINI_FAULTS` environment variable (or the sweep binaries'
-//! `--faults` flag, which sets the same variable before any site is
-//! evaluated). Each site in the checkpoint writer, shard supervisor,
-//! telemetry heartbeat and sweep executor asks the registry what to do;
-//! with nothing armed — the default — every site is exactly one untaken
-//! branch on a relaxed atomic load, and results are bit-identical to a
-//! build without the registry.
+//! process-wide registry of named failpoint sites, armed by [`arm`] from
+//! a parsed [`Schedule`] (the sweep binaries' `--faults` flag). Each site
+//! in the checkpoint writer, telemetry heartbeat and sweep executor asks
+//! the registry what to do; with nothing armed — the default — every
+//! site is exactly one untaken branch on a relaxed atomic load, and
+//! results are bit-identical to a build without the registry.
 //!
 //! # Spec grammar
 //!
 //! ```text
-//! GEMMINI_FAULTS = entry ( "," entry )*
-//! entry          = site "=" action [ "@" hit ]
-//! action         = "fail" | "hang" | "corrupt" | "skip" | "delay:" millis
+//! schedule = entry ( "," entry )*
+//! entry    = site "=" action [ "@" hit ] [ "#" shard ]
+//! action   = "fail" | "hang" | "abort" | "corrupt" | "skip" | "delay:" millis
 //! ```
 //!
-//! `site` names one instrumented point in dotted lower-case
-//! (`checkpoint.flush`, `checkpoint.corrupt`, `heartbeat.write`,
-//! `sweep.point`). `@hit` restricts the action to exactly the N-th
-//! evaluation of that site in this process (1-based), so a schedule like
+//! `@hit` restricts the action to exactly the N-th evaluation of that
+//! site in this process (1-based), so a schedule like
 //! `checkpoint.flush=fail@3` injects one I/O error on the third
 //! checkpoint append and nothing else — fully deterministic, no clocks
 //! and no randomness. Without `@hit` the action fires on every
 //! evaluation.
 //!
-//! # Per-shard scoping
+//! `#shard` restricts the entry to the `--shard` worker with that index:
+//! a supervised sweep hands every worker the same schedule, and each
+//! worker — and the supervisor, which has no index — arms only the
+//! entries meant for it. Unqualified entries arm in every process.
 //!
-//! A supervised sweep shares one environment between the supervisor and
-//! its worker children. `GEMMINI_FAULTS_SHARD=<index>` restricts the
-//! schedule to one worker: every other shard worker — and the
-//! supervisor itself — calls [`disarm`] on startup, so exactly one
-//! process in the fleet takes the faults. This mirrors the
-//! `GEMMINI_TEST_CRASH_SHARD` convention of the crash-test hook.
+//! # Sites
+//!
+//! | site                 | actions it honours   | effect                                    |
+//! |----------------------|----------------------|-------------------------------------------|
+//! | `checkpoint.flush`   | `fail`, `delay`      | the append returns an injected I/O error  |
+//! | `checkpoint.corrupt` | `corrupt`            | the appended line is torn to 2/3          |
+//! | `heartbeat.write`    | `skip`, `fail`       | the heartbeat write is dropped or fails   |
+//! | `sweep.point`        | `hang`, `abort`, `delay` | the point wedges, the process aborts, or the point starts late |
+//!
+//! `sweep.point` is evaluated only by a sweep that served no point from
+//! its checkpoint, so a resumed retry runs past the fault and completes.
+//! [`Schedule::parse`] rejects an unknown site or an action its site does
+//! not honour: a schedule that parses is a schedule that can fire.
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// Environment variable holding the fault schedule.
-pub const FAULTS_ENV: &str = "GEMMINI_FAULTS";
+/// Every failpoint site and the actions it honours (see the module docs).
+const SITES: &[(&str, &[&str])] = &[
+    ("checkpoint.flush", &["fail", "delay"]),
+    ("checkpoint.corrupt", &["corrupt"]),
+    ("heartbeat.write", &["skip", "fail"]),
+    ("sweep.point", &["hang", "abort", "delay"]),
+];
 
-/// Environment variable restricting the schedule to one shard worker
-/// (see the module docs).
-pub const FAULTS_SHARD_ENV: &str = "GEMMINI_FAULTS_SHARD";
-
-/// What an armed failpoint tells its site to do. Sites interpret only
-/// the actions that make sense for them and ignore the rest (an ignored
-/// action is reported once on stderr so a typo'd schedule is visible).
+/// What an armed failpoint tells its site to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Fail the operation with an injected error.
     Fail,
     /// Hang: sleep effectively forever (the watchdog's prey).
     Hang,
+    /// Abort the process on the spot, like a segfault or an OOM kill.
+    Abort,
     /// Corrupt the bytes the site was about to write.
     Corrupt,
     /// Silently skip the operation (e.g. suppress a heartbeat write).
@@ -71,6 +79,7 @@ impl FaultAction {
         match s {
             "fail" => Ok(Self::Fail),
             "hang" => Ok(Self::Hang),
+            "abort" => Ok(Self::Abort),
             "corrupt" => Ok(Self::Corrupt),
             "skip" => Ok(Self::Skip),
             _ => {
@@ -82,7 +91,7 @@ impl FaultAction {
                     Ok(Self::Delay(Duration::from_millis(ms)))
                 } else {
                     Err(format!(
-                        "unknown fault action '{s}' (expected fail|hang|corrupt|skip|delay:<ms>)"
+                        "unknown fault action '{s}' (expected fail|hang|abort|corrupt|skip|delay:<ms>)"
                     ))
                 }
             }
@@ -90,36 +99,47 @@ impl FaultAction {
     }
 }
 
-/// One armed failpoint: a site name, an action, an optional 1-based hit
-/// index, and the site's evaluation counter.
-#[derive(Debug)]
-struct Failpoint {
-    site: String,
+/// One schedule entry, `site=action[@hit][#shard]`: without `hit` it
+/// fires on every evaluation, without `shard` in every process.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Entry {
+    site: &'static str,
     action: FaultAction,
-    /// `Some(n)`: fire only on the n-th evaluation (1-based).
-    /// `None`: fire on every evaluation.
     hit: Option<u64>,
-    evaluations: AtomicU64,
+    shard: Option<usize>,
 }
 
-/// The parsed schedule. Empty (the overwhelmingly common case) means
-/// every site is a single untaken branch.
-#[derive(Debug, Default)]
-struct Registry {
-    points: Vec<Failpoint>,
+/// A validated fault schedule, keeping its source text so it can be
+/// handed on verbatim (e.g. in a shard worker's argv).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Schedule {
+    text: String,
+    entries: Vec<Entry>,
 }
 
-impl Registry {
-    fn parse(spec: &str) -> Result<Self, String> {
-        let mut points = Vec::new();
-        for entry in spec.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
+impl Schedule {
+    /// Parses and validates a schedule (grammar in the module docs).
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message for a malformed entry, an
+    /// unknown site, or an action its site does not honour.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let mut entries = Vec::new();
+        for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
             let (site, rest) = entry
                 .split_once('=')
                 .ok_or_else(|| format!("invalid fault entry '{entry}' (expected site=action)"))?;
+            let (rest, shard) = match rest.split_once('#') {
+                Some((rest, shard)) => {
+                    let shard = shard
+                        .trim()
+                        .parse::<usize>()
+                        .map_err(|_| format!("invalid shard index in fault entry '{entry}'"))?;
+                    (rest, Some(shard))
+                }
+                None => (rest, None),
+            };
             let (action, hit) = match rest.split_once('@') {
                 Some((action, hit)) => {
                     let hit = hit
@@ -131,111 +151,119 @@ impl Registry {
                             "hit index in '{entry}' is 1-based and must be positive"
                         ));
                     }
-                    (action.trim(), Some(hit))
+                    (action, Some(hit))
                 }
-                None => (rest.trim(), None),
+                None => (rest, None),
             };
-            points.push(Failpoint {
-                site: site.trim().to_string(),
-                action: FaultAction::parse(action)?,
+            let (site, action) = (site.trim(), action.trim());
+            let Some(&(site, honoured)) = SITES.iter().find(|(name, _)| *name == site) else {
+                let known: Vec<&str> = SITES.iter().map(|(name, _)| *name).collect();
+                return Err(format!(
+                    "unknown failpoint site '{site}' in '{entry}' (expected one of {})",
+                    known.join(", ")
+                ));
+            };
+            let keyword = action.split(':').next().unwrap_or(action);
+            let action = FaultAction::parse(action)?;
+            if !honoured.contains(&keyword) {
+                return Err(format!(
+                    "failpoint site '{site}' does not honour '{keyword}' (it honours {})",
+                    honoured.join(", ")
+                ));
+            }
+            entries.push(Entry {
+                site,
+                action,
                 hit,
-                evaluations: AtomicU64::new(0),
+                shard,
             });
         }
-        Ok(Self { points })
+        Ok(Self {
+            text: spec.to_string(),
+            entries,
+        })
+    }
+
+    /// The shard indices the entries' `#shard` qualifiers name.
+    pub fn shards(&self) -> impl Iterator<Item = usize> + '_ {
+        self.entries.iter().filter_map(|e| e.shard)
     }
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
-
-fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(|| match std::env::var(FAULTS_ENV) {
-        Ok(spec) if !spec.trim().is_empty() => match Registry::parse(&spec) {
-            Ok(reg) => {
-                if !reg.points.is_empty() {
-                    eprintln!("fault: armed {} failpoint(s): {spec}", reg.points.len());
-                }
-                reg
-            }
-            Err(msg) => {
-                eprintln!("fault: ignoring invalid {FAULTS_ENV}: {msg}");
-                Registry::default()
-            }
-        },
-        _ => Registry::default(),
-    })
-}
-
-/// Arms the registry for this process if `GEMMINI_FAULTS` names a
-/// non-empty schedule. Called lazily by the first [`fire`]; call it
-/// eagerly (e.g. right after CLI parsing) to surface schedule typos
-/// before the sweep starts.
-pub fn arm() {
-    if !registry().points.is_empty() {
-        ARMED.store(true, Ordering::Release);
+impl fmt::Display for Schedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text)
     }
 }
 
-/// Permanently disarms every failpoint in this process (the schedule
-/// stays in the environment for child processes to inherit). Used by
-/// the shard supervisor — and by workers whose index does not match
-/// `GEMMINI_FAULTS_SHARD` — so a fleet-wide environment arms exactly
-/// one process.
-pub fn disarm() {
-    // Initialize-then-drain: fire() consults ARMED first, so flipping it
-    // off makes every later evaluation the plain untaken branch.
-    arm();
-    ARMED.store(false, Ordering::Release);
+/// One armed failpoint: a schedule entry plus its site's evaluation
+/// counter.
+#[derive(Debug)]
+struct Failpoint {
+    entry: Entry,
+    evaluations: AtomicU64,
 }
 
-/// Disarms this process unless `GEMMINI_FAULTS_SHARD` is unset or names
-/// `shard_index`. A `None` index is "not a shard worker" (the
-/// supervisor), which never takes scoped faults.
-pub fn scope_to_shard(shard_index: Option<usize>) {
-    if let Ok(v) = std::env::var(FAULTS_SHARD_ENV) {
-        if v.trim().parse::<usize>().ok() != shard_index {
-            disarm();
-        }
-    }
+/// The entries of `schedule` that arm in the process with shard index
+/// `shard` (`None`: not a shard worker).
+fn armed_in(schedule: &Schedule, shard: Option<usize>) -> Vec<Failpoint> {
+    schedule
+        .entries
+        .iter()
+        .filter(|e| e.shard.is_none() || e.shard == shard)
+        .map(|e| Failpoint {
+            entry: e.clone(),
+            evaluations: AtomicU64::new(0),
+        })
+        .collect()
 }
 
-/// Evaluates the failpoint `site`: returns the armed action when the
-/// schedule says this evaluation should take a fault, `None` otherwise.
-/// The disabled path (no schedule, or disarmed) is a single relaxed
-/// atomic load and an untaken branch — call it freely from hot paths.
-pub fn fire(site: &str) -> Option<FaultAction> {
-    if !ARMED.load(Ordering::Relaxed) {
-        // Lazily arm on first evaluation so call sites need no setup.
-        if REGISTRY.get().is_some() {
-            return None;
-        }
-        arm();
-        if !ARMED.load(Ordering::Relaxed) {
-            return None;
-        }
-    }
-    let reg = registry();
-    for point in &reg.points {
-        if point.site != site {
-            continue;
-        }
+/// Counts one evaluation of `site` against every failpoint on it and
+/// returns the first action due, with its evaluation number.
+fn evaluate(points: &[Failpoint], site: &str) -> Option<(FaultAction, u64)> {
+    for point in points.iter().filter(|p| p.entry.site == site) {
         let n = point.evaluations.fetch_add(1, Ordering::Relaxed) + 1;
-        match point.hit {
-            Some(hit) if hit != n => continue,
-            _ => {
-                eprintln!("fault: {site} -> {:?} (evaluation {n})", point.action);
-                return Some(point.action);
-            }
+        if point.entry.hit.is_none_or(|hit| hit == n) {
+            return Some((point.entry.action, n));
         }
     }
     None
 }
 
+static ARMED: AtomicBool = AtomicBool::new(false);
+static REGISTRY: OnceLock<Vec<Failpoint>> = OnceLock::new();
+
+/// Arms the registry for this process with the entries of `schedule`
+/// that apply to it: the unqualified ones, plus the `#shard` ones when
+/// `shard` names this process's worker index. The first call wins; the
+/// registry cannot be re-armed.
+pub fn arm(schedule: &Schedule, shard: Option<usize>) {
+    let points = armed_in(schedule, shard);
+    if points.is_empty() {
+        return;
+    }
+    eprintln!("fault: armed {} failpoint(s): {schedule}", points.len());
+    if REGISTRY.set(points).is_ok() {
+        ARMED.store(true, Ordering::Release);
+    }
+}
+
+/// Evaluates the failpoint `site`: returns the armed action when the
+/// schedule says this evaluation should take a fault, `None` otherwise.
+/// The disabled path (nothing armed) is a single relaxed atomic load and
+/// an untaken branch — call it freely from hot paths.
+pub fn fire(site: &str) -> Option<FaultAction> {
+    if !ARMED.load(Ordering::Relaxed) {
+        return None;
+    }
+    let (action, n) = evaluate(REGISTRY.get()?, site)?;
+    eprintln!("fault: {site} -> {action:?} (evaluation {n})");
+    Some(action)
+}
+
 /// Convenience for I/O sites: an injected [`std::io::Error`] when `site`
 /// fires with [`FaultAction::Fail`]. [`FaultAction::Delay`] sleeps and
-/// returns `None`; other actions are ignored here (the site handles
-/// corrupt/hang/skip itself if it supports them).
+/// returns `None`.
 pub fn fail_io(site: &str) -> Option<std::io::Error> {
     match fire(site)? {
         FaultAction::Fail => Some(std::io::Error::other(format!(
@@ -264,60 +292,114 @@ mod tests {
     use super::*;
 
     // These tests exercise the parser and the pure decision logic
-    // directly; the process-global registry is covered end-to-end by the
-    // chaos CI job (environment mutation in unit tests would race with
-    // parallel test execution).
+    // directly; the process-global registry is covered end to end by the
+    // shard end-to-end tests and the chaos CI job.
 
     #[test]
     fn parses_a_full_schedule() {
-        let reg = Registry::parse(
-            "checkpoint.flush=fail@3, checkpoint.corrupt=corrupt@5,sweep.point=delay:250",
+        let schedule = Schedule::parse(
+            "checkpoint.flush=fail@3, checkpoint.corrupt=corrupt@5#1,sweep.point=delay:250",
         )
         .unwrap();
-        assert_eq!(reg.points.len(), 3);
-        assert_eq!(reg.points[0].site, "checkpoint.flush");
-        assert_eq!(reg.points[0].action, FaultAction::Fail);
-        assert_eq!(reg.points[0].hit, Some(3));
-        assert_eq!(reg.points[1].action, FaultAction::Corrupt);
+        let e = &schedule.entries;
+        assert_eq!(e.len(), 3);
+        assert_eq!(e[0].site, "checkpoint.flush");
+        assert_eq!(e[0].action, FaultAction::Fail);
+        assert_eq!((e[0].hit, e[0].shard), (Some(3), None));
+        assert_eq!(e[1].action, FaultAction::Corrupt);
+        assert_eq!((e[1].hit, e[1].shard), (Some(5), Some(1)));
+        assert_eq!(e[2].action, FaultAction::Delay(Duration::from_millis(250)));
+        assert_eq!(e[2].hit, None);
         assert_eq!(
-            reg.points[2].action,
-            FaultAction::Delay(Duration::from_millis(250))
+            schedule.to_string(),
+            "checkpoint.flush=fail@3, checkpoint.corrupt=corrupt@5#1,sweep.point=delay:250",
+            "the source text is handed on verbatim"
         );
-        assert_eq!(reg.points[2].hit, None);
     }
 
     #[test]
     fn rejects_malformed_entries() {
-        assert!(Registry::parse("no-equals-sign").is_err());
-        assert!(Registry::parse("site=explode").is_err());
-        assert!(Registry::parse("site=fail@0").is_err(), "hits are 1-based");
-        assert!(Registry::parse("site=fail@x").is_err());
-        assert!(Registry::parse("site=delay:abc").is_err());
-        assert!(Registry::parse("").unwrap().points.is_empty());
-        assert!(Registry::parse(" , ,").unwrap().points.is_empty());
+        assert!(Schedule::parse("no-equals-sign").is_err());
+        assert!(Schedule::parse("sweep.point=explode").is_err());
+        assert!(
+            Schedule::parse("sweep.point=hang@0").is_err(),
+            "hits are 1-based"
+        );
+        assert!(Schedule::parse("sweep.point=hang@x").is_err());
+        assert!(Schedule::parse("sweep.point=delay:abc").is_err());
+        assert!(Schedule::parse("sweep.point=hang#x").is_err());
+        assert!(Schedule::parse("sweep.point=hang#-1").is_err());
+        assert!(Schedule::parse("").unwrap().entries.is_empty());
+        assert!(Schedule::parse(" , ,").unwrap().entries.is_empty());
+    }
+
+    #[test]
+    fn rejects_an_unknown_site() {
+        let err = Schedule::parse("sweep.pont=hang").unwrap_err();
+        assert!(err.contains("unknown failpoint site 'sweep.pont'"), "{err}");
+        assert!(err.contains("sweep.point"), "lists the known sites: {err}");
+    }
+
+    #[test]
+    fn rejects_an_action_the_site_does_not_honour() {
+        for spec in [
+            "checkpoint.flush=corrupt",
+            "checkpoint.corrupt=fail",
+            "heartbeat.write=hang",
+            "sweep.point=fail",
+            "sweep.point=skip@2",
+        ] {
+            let err = Schedule::parse(spec).unwrap_err();
+            assert!(err.contains("does not honour"), "{spec}: {err}");
+        }
+        // Every honoured pair parses.
+        for (site, actions) in SITES {
+            for action in *actions {
+                let action = if *action == "delay" {
+                    "delay:1"
+                } else {
+                    action
+                };
+                assert!(Schedule::parse(&format!("{site}={action}")).is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn shard_qualified_entries_arm_only_in_their_worker() {
+        let schedule =
+            Schedule::parse("checkpoint.flush=fail@3#0,sweep.point=abort@4#1,heartbeat.write=skip")
+                .unwrap();
+        let sites = |shard| -> Vec<&str> {
+            armed_in(&schedule, shard)
+                .into_iter()
+                .map(|p| p.entry.site)
+                .collect()
+        };
+        assert_eq!(sites(Some(0)), ["checkpoint.flush", "heartbeat.write"]);
+        assert_eq!(sites(Some(1)), ["sweep.point", "heartbeat.write"]);
+        assert_eq!(sites(Some(2)), ["heartbeat.write"]);
+        assert_eq!(sites(None), ["heartbeat.write"], "the supervisor");
     }
 
     #[test]
     fn hit_counting_is_per_site_and_one_based() {
-        let reg = Registry::parse("a=fail@2,b=skip").unwrap();
-        let eval = |reg: &Registry, site: &str| -> Option<FaultAction> {
-            for p in &reg.points {
-                if p.site != site {
-                    continue;
-                }
-                let n = p.evaluations.fetch_add(1, Ordering::Relaxed) + 1;
-                match p.hit {
-                    Some(hit) if hit != n => continue,
-                    _ => return Some(p.action),
-                }
-            }
-            None
-        };
-        assert_eq!(eval(&reg, "a"), None, "first evaluation passes");
-        assert_eq!(eval(&reg, "a"), Some(FaultAction::Fail), "second fires");
-        assert_eq!(eval(&reg, "a"), None, "third passes again");
-        assert_eq!(eval(&reg, "b"), Some(FaultAction::Skip), "unconditional");
-        assert_eq!(eval(&reg, "b"), Some(FaultAction::Skip));
-        assert_eq!(eval(&reg, "unknown"), None);
+        let schedule = Schedule::parse("sweep.point=abort@2,heartbeat.write=skip").unwrap();
+        let points = armed_in(&schedule, None);
+        let eval = |site| evaluate(&points, site).map(|(action, _)| action);
+        assert_eq!(eval("sweep.point"), None, "first evaluation passes");
+        assert_eq!(
+            eval("sweep.point"),
+            Some(FaultAction::Abort),
+            "second fires"
+        );
+        assert_eq!(eval("sweep.point"), None, "third passes again");
+        assert_eq!(
+            eval("heartbeat.write"),
+            Some(FaultAction::Skip),
+            "unconditional"
+        );
+        assert_eq!(eval("heartbeat.write"), Some(FaultAction::Skip));
+        assert_eq!(eval("checkpoint.flush"), None);
     }
 }

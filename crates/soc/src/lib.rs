@@ -48,10 +48,10 @@
 //!   their checkpoints (heartbeat-staleness watchdog, jittered
 //!   exponential backoff), and an exact `--merge` that stitches shard
 //!   checkpoint files back into the single-process result.
-//! * [`fault`] — deterministic fault injection: a `GEMMINI_FAULTS`-armed
-//!   failpoint registry threaded through the checkpoint writer, shard
-//!   supervisor, heartbeat writer and sweep executor, so every recovery
-//!   path above is testable on demand (and free when disarmed).
+//! * [`fault`] — deterministic fault injection: a failpoint registry,
+//!   armed from a validated `--faults` schedule, threaded through the
+//!   checkpoint writer, heartbeat writer and sweep executor, so every
+//!   recovery path above is testable on demand (and free when disarmed).
 //!
 //! # Example
 //!
@@ -86,5 +86,5 @@ pub use prune::{Attributed, PruneEvidence, PrunePolicy, PruneSummary};
 pub use run::{run_networks, CoreReport, RunOptions, SocReport};
 pub use shard::{run_sharded, ShardCli, ShardError, ShardSpec};
 pub use soc::{CoreConfig, SocConfig};
-pub use sweep::{run_sweep, run_sweep_with, DesignPoint, SweepError, SweepOptions, SweepResult};
+pub use sweep::{run_sweep_with, DesignPoint, SweepError, SweepOptions, SweepResult};
 pub use tiling::TilePlan;

@@ -46,8 +46,8 @@
 //!   single-process run.
 //!
 //! [`run_sharded`] ties the three together behind the sweep binaries'
-//! shared CLI (`--shard` / `--shards` / `--merge`, parsed by
-//! [`ShardCli`]).
+//! shared CLI: `--shard` / `--shards` / `--merge` select a [`ShardCli`]
+//! mode.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -61,8 +61,7 @@ use std::time::{Duration, Instant};
 use crate::checkpoint::{Checkpoint, CheckpointEntry, CheckpointWriter, Line};
 use crate::prune::{Attributed, PrunePolicy};
 use crate::sweep::{
-    sweep_map_checkpointed, SweepError, SweepOptions, SweepResult, CRASH_AFTER_ENV,
-    EXIT_RECORDED_FAILURES, HANG_AFTER_ENV,
+    sweep_map_checkpointed, SweepError, SweepOptions, SweepResult, EXIT_RECORDED_FAILURES,
 };
 use crate::telemetry::{
     format_eta, heartbeat_age, read_heartbeat, write_heartbeat, write_prometheus, Heartbeat,
@@ -70,13 +69,6 @@ use crate::telemetry::{
 use gemmini_core::metrics::Counter;
 use gemmini_core::AccelError;
 use gemmini_mem::json::{FromJson, ToJson};
-
-/// Test-only companion to [`CRASH_AFTER_ENV`]: when set to a shard
-/// index, only that shard's worker process keeps the crash hook armed;
-/// every other shard disarms it on startup (by clearing the variable in
-/// its own environment, before any sweep threads exist). Lets a test
-/// kill exactly one shard of a supervised sweep.
-pub const CRASH_SHARD_ENV: &str = "GEMMINI_TEST_CRASH_SHARD";
 
 /// One strided shard of a sweep partition: `index` in `0..count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -930,116 +922,22 @@ pub fn write_entries<T: ToJson>(path: &Path, lines: &[Line<T>]) -> io::Result<()
     Ok(())
 }
 
-/// Converts a merged checkpoint entry into the sweep result shape the
-/// figure binaries consume (`cached: true` — the point was simulated in
-/// a worker process, not here).
-pub fn entry_result<T>(entry: CheckpointEntry<T>) -> SweepResult<T> {
-    SweepResult {
-        label: entry.label,
-        outcome: Ok(entry.payload),
-        wall: entry.wall,
-        cached: true,
-        pruned: entry.pruned,
-    }
-}
-
-/// Converts one merged checkpoint line into the sweep result shape the
-/// figure binaries consume: a completed entry as a cached success, a
-/// recorded failure as a cached [`SweepError::Recorded`].
-pub fn line_result<T>(line: Line<T>) -> SweepResult<T> {
-    match line {
-        Line::Completed(entry) => entry_result(entry),
-        Line::Failed(failed) => SweepResult {
-            label: failed.label,
-            outcome: Err(SweepError::Recorded(failed.reason)),
-            wall: failed.wall,
-            cached: true,
-            pruned: None,
-        },
-    }
-}
-
-/// The sharding arguments shared by every sweep binary. At most one of
-/// the three modes may be active; all of them need the sweep's `--json`
-/// base path to locate shard checkpoints.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardCli {
+/// How a sweep process runs its grid: the mode the sweep binaries'
+/// `--shard` / `--shards` / `--merge` flags select. Every mode but
+/// `Single` needs the sweep's `--json` base path to locate shard
+/// checkpoints.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum ShardCli {
+    /// No sharding flag: one in-process (possibly checkpointed) sweep.
+    #[default]
+    Single,
     /// `--shard i/N`: run only that strided slice of the grid.
-    pub shard: Option<ShardSpec>,
+    Shard(ShardSpec),
     /// `--shards N`: supervise N worker processes of this binary.
-    pub supervise: Option<usize>,
+    Supervise(usize),
     /// `--merge <file>…`: stitch existing shard checkpoints; no
     /// simulation.
-    pub merge: Vec<PathBuf>,
-}
-
-impl ShardCli {
-    /// Parses the sharding flags out of an argument list, ignoring every
-    /// argument it does not own (the binaries parse `--quick`, `--json`,
-    /// `--resume`, … separately).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for malformed values or
-    /// conflicting modes.
-    pub fn from_args<A>(args: A) -> Result<Self, String>
-    where
-        A: IntoIterator<Item = String>,
-    {
-        let mut cli = Self::default();
-        let mut it = args.into_iter().peekable();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--shard" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--shard requires an i/N argument".to_string())?;
-                    cli.shard = Some(ShardSpec::parse(&v)?);
-                }
-                "--shards" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--shards requires a shard count".to_string())?;
-                    let count = v
-                        .trim()
-                        .parse::<usize>()
-                        .map_err(|_| format!("invalid --shards count '{v}'"))?;
-                    if count == 0 {
-                        return Err("--shards count must be at least 1".to_string());
-                    }
-                    cli.supervise = Some(count);
-                }
-                "--merge" => {
-                    while it.peek().is_some_and(|a| !a.starts_with("--")) {
-                        cli.merge.push(PathBuf::from(it.next().expect("peeked")));
-                    }
-                    if cli.merge.is_empty() {
-                        return Err(
-                            "--merge requires at least one shard checkpoint path".to_string()
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-        let active = [
-            cli.shard.is_some(),
-            cli.supervise.is_some(),
-            !cli.merge.is_empty(),
-        ]
-        .into_iter()
-        .filter(|&on| on)
-        .count();
-        if active > 1 {
-            return Err("--shard, --shards and --merge are mutually exclusive".to_string());
-        }
-        Ok(cli)
-    }
-
-    /// Whether any sharding mode is active.
-    pub fn is_active(&self) -> bool {
-        self.shard.is_some() || self.supervise.is_some() || !self.merge.is_empty()
-    }
+    Merge(Vec<PathBuf>),
 }
 
 /// Why a sharded sweep failed.
@@ -1126,18 +1024,6 @@ impl fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// Disarms the crash- and hang-test hooks unless this worker is the
-/// shard the test singled out via [`CRASH_SHARD_ENV`]. Mutates only
-/// this process's environment, before the sweep spawns any threads.
-fn disarm_crash_hook_for_other_shards(spec: ShardSpec) {
-    if let Ok(v) = std::env::var(CRASH_SHARD_ENV) {
-        if v.trim().parse::<usize>().ok() != Some(spec.index) {
-            std::env::remove_var(CRASH_AFTER_ENV);
-            std::env::remove_var(HANG_AFTER_ENV);
-        }
-    }
-}
-
 fn expected_of<I>(items: &[(String, u64, I)]) -> Vec<(String, u64)> {
     items
         .iter()
@@ -1145,7 +1031,7 @@ fn expected_of<I>(items: &[(String, u64, I)]) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Runs `items` under the mode `cli` selects:
+/// Runs `items` under the mode `mode` selects:
 ///
 /// * **merge** — stitch the named shard checkpoints into full-grid
 ///   results; nothing is simulated. Returns `Some(results)`.
@@ -1159,8 +1045,8 @@ fn expected_of<I>(items: &[(String, u64, I)]) -> Vec<(String, u64)> {
 ///   and write the stitched entries back to the base path (leaving it
 ///   exactly as a single-process run would have, modulo wall-clock).
 ///   Returns `Some(results)`.
-/// * **none of the three** — a plain (possibly checkpointed) in-process
-///   sweep. Returns `Some(results)`.
+/// * **single** — a plain (possibly checkpointed) in-process sweep.
+///   Returns `Some(results)`.
 ///
 /// # Errors
 ///
@@ -1169,7 +1055,7 @@ fn expected_of<I>(items: &[(String, u64, I)]) -> Vec<(String, u64)> {
 /// missing or stale points, or shard bookkeeping I/O fails.
 pub fn run_sharded<I, T, F, C>(
     items: Vec<(String, u64, I)>,
-    cli: &ShardCli,
+    mode: &ShardCli,
     opts: SweepOptions,
     make_child: C,
     f: F,
@@ -1180,9 +1066,9 @@ where
     F: Fn(I) -> Result<T, AccelError> + Sync,
     C: Fn(ShardSpec) -> Command + Sync,
 {
-    if !cli.merge.is_empty() {
+    if let ShardCli::Merge(paths) = mode {
         let expected = expected_of(&items);
-        let merged = merge_shards::<T>(&expected, &cli.merge).map_err(ShardError::Merge)?;
+        let merged = merge_shards::<T>(&expected, paths).map_err(ShardError::Merge)?;
         for (path, count) in &merged.quarantined {
             if *count > 0 {
                 eprintln!(
@@ -1204,20 +1090,18 @@ where
         eprintln!(
             "merge: stitched {} point(s) from {} shard checkpoint(s){note}",
             merged.lines.len(),
-            cli.merge.len()
+            paths.len()
         );
-        return Ok(Some(merged.lines.into_iter().map(line_result).collect()));
+        return Ok(Some(
+            merged.lines.into_iter().map(SweepResult::from).collect(),
+        ));
     }
 
-    if let Some(spec) = cli.shard {
+    if let &ShardCli::Shard(spec) = mode {
         let base = opts
             .checkpoint
             .clone()
             .ok_or(ShardError::NeedsCheckpoint("--shard"))?;
-        disarm_crash_hook_for_other_shards(spec);
-        // A fleet-wide fault schedule scoped with GEMMINI_FAULTS_SHARD
-        // arms in exactly one worker; everyone else disarms here.
-        crate::fault::scope_to_shard(Some(spec.index));
         let grid_total = items.len();
         // Partition by slot so every follower's leader and (with pruning
         // on) every member's basis run in this process.
@@ -1288,15 +1172,11 @@ where
         return Ok(None);
     }
 
-    if let Some(count) = cli.supervise {
+    if let &ShardCli::Supervise(count) = mode {
         let base = opts
             .checkpoint
             .clone()
             .ok_or(ShardError::NeedsCheckpoint("--shards"))?;
-        // The supervisor never takes faults itself when the schedule is
-        // scoped to a worker; children inherit the environment and make
-        // their own scoping decision.
-        crate::fault::scope_to_shard(None);
         let specs: Vec<ShardSpec> = (0..count).map(|index| ShardSpec { index, count }).collect();
         if !opts.resume {
             // A fresh supervised sweep must not resurrect earlier shard
@@ -1392,7 +1272,9 @@ where
             merged.lines.len(),
             base.display()
         );
-        return Ok(Some(merged.lines.into_iter().map(line_result).collect()));
+        return Ok(Some(
+            merged.lines.into_iter().map(SweepResult::from).collect(),
+        ));
     }
 
     Ok(Some(sweep_map_checkpointed(items, opts, f)))
@@ -1609,28 +1491,6 @@ mod tests {
     }
 
     #[test]
-    fn cli_parses_each_mode_and_rejects_conflicts() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let cli = ShardCli::from_args(args(&["--quick", "--shard", "1/2", "--json", "x"])).unwrap();
-        assert_eq!(cli.shard, Some(ShardSpec { index: 1, count: 2 }));
-        assert!(cli.is_active());
-
-        let cli = ShardCli::from_args(args(&["--shards", "4"])).unwrap();
-        assert_eq!(cli.supervise, Some(4));
-
-        let cli = ShardCli::from_args(args(&["--merge", "a.jsonl", "b.jsonl", "--quick"])).unwrap();
-        assert_eq!(
-            cli.merge,
-            vec![PathBuf::from("a.jsonl"), PathBuf::from("b.jsonl")]
-        );
-
-        assert!(!ShardCli::from_args(args(&["--quick"])).unwrap().is_active());
-        assert!(ShardCli::from_args(args(&["--shards", "0"])).is_err());
-        assert!(ShardCli::from_args(args(&["--merge"])).is_err());
-        assert!(ShardCli::from_args(args(&["--shard", "0/2", "--shards", "2"])).is_err());
-    }
-
-    #[test]
     fn merge_reports_missing_and_stale_points() {
         use crate::checkpoint::CheckpointWriter;
         let path = temp_path("merge_validation.jsonl");
@@ -1762,7 +1622,8 @@ mod tests {
             other => panic!("expected a recorded failure, got {other:?}"),
         }
         // The recorded failure round-trips through the result shape.
-        let results: Vec<SweepResult<u64>> = merged.lines.into_iter().map(line_result).collect();
+        let results: Vec<SweepResult<u64>> =
+            merged.lines.into_iter().map(SweepResult::from).collect();
         assert!(matches!(&results[1].outcome, Err(SweepError::Recorded(r)) if r == "timeout"));
         assert!(results[1].cached);
 

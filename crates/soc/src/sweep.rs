@@ -45,8 +45,9 @@ use std::time::{Duration, Instant};
 use std::collections::HashMap;
 
 use crate::checkpoint::{
-    compact, debug_fingerprint, Checkpoint, CheckpointEntry, CheckpointWriter, FailedEntry,
+    compact, debug_fingerprint, Checkpoint, CheckpointEntry, CheckpointWriter, FailedEntry, Line,
 };
+use crate::fault::{self, FaultAction};
 use crate::prune::{Attributed, PruneDecision, PruneEvidence, PrunePolicy};
 use crate::run::{run_networks_metered, RunOptions, SocReport};
 use crate::runtime::consults_cpu;
@@ -64,25 +65,6 @@ use gemmini_mem::stats::{HitMissStats, TrafficStats};
 
 /// Environment variable naming the worker count (`0`/unset = all cores).
 pub const THREADS_ENV: &str = "GEMMINI_THREADS";
-
-/// Test-only crash hook: when set to `k`, a checkpointed sweep that
-/// starts from an empty checkpoint (no resumed points) calls
-/// [`std::process::abort`] as its `k+1`-th point begins executing, after
-/// `k` completed points have been persisted. A resumed run (any cached
-/// point) never crashes, so a supervisor retry that picks the shard back
-/// up from its checkpoint runs to completion. The shard supervisor tests
-/// and CI use this to simulate a segfault mid-sweep; see also
-/// [`crate::shard::CRASH_SHARD_ENV`] for restricting the hook to one
-/// shard.
-pub const CRASH_AFTER_ENV: &str = "GEMMINI_TEST_CRASH_AFTER";
-
-/// Test-only hang hook: like [`CRASH_AFTER_ENV`], but instead of
-/// aborting, the worker thread that begins the `k+1`-th point sleeps
-/// forever — a wedged simulation the supervisor's heartbeat-staleness
-/// watchdog must detect and kill. Resumed runs (any cached point) never
-/// hang, so the post-kill retry completes. Restricted to one shard by
-/// [`crate::shard::CRASH_SHARD_ENV`] exactly like the crash hook.
-pub const HANG_AFTER_ENV: &str = "GEMMINI_TEST_HANG_AFTER";
 
 /// Process exit code for a sweep that *completed* but recorded one or
 /// more first-class point failures (today: `--point-timeout`
@@ -197,6 +179,24 @@ pub struct SweepResult<T> {
     pub pruned: Option<PruneEvidence>,
 }
 
+impl<T> From<Line<T>> for SweepResult<T> {
+    /// A checkpoint line served instead of run (`cached`): a completed
+    /// entry as a success, a recorded failure as [`SweepError::Recorded`].
+    fn from(line: Line<T>) -> Self {
+        let (label, outcome, wall, pruned) = match line {
+            Line::Completed(e) => (e.label, Ok(e.payload), e.wall, e.pruned),
+            Line::Failed(f) => (f.label, Err(SweepError::Recorded(f.reason)), f.wall, None),
+        };
+        Self {
+            label,
+            outcome,
+            wall,
+            cached: true,
+            pruned,
+        }
+    }
+}
+
 impl<T> SweepResult<T> {
     /// Synthesizes a pruned entry: `predicted` is the basis point's
     /// payload served under this point's label, justified by `evidence`.
@@ -243,23 +243,9 @@ pub struct SweepOptions {
     /// holds (matching label + fingerprint). Without `resume`, an
     /// existing checkpoint file is truncated and rewritten.
     pub resume: bool,
-    /// Points already completed before this call's first item — folded
-    /// into progress-line positions so a 27-cached resume of a 32-point
-    /// grid prints `[28/32]`, not `[1/5]`. The checkpointing executor
-    /// sets this to its cached-point count; leave at `0` otherwise.
-    pub progress_done: usize,
-    /// True grid size for progress-line positions; `0` means "the
-    /// submitted item count". Set together with `progress_done`.
-    pub progress_total: usize,
     /// Attribution-guided pruning policy; `None` (the default) simulates
     /// every point. See [`crate::prune`].
     pub prune: Option<PrunePolicy>,
-    /// Of `progress_done`, how many points were served from the
-    /// checkpoint — rendered as a `N cached` segment in progress lines.
-    pub progress_cached: usize,
-    /// Of `progress_done`, how many points were pruned — rendered as a
-    /// `M pruned` segment in progress lines.
-    pub progress_pruned: usize,
     /// Live-metrics handle: shared with every executed point's
     /// simulation (engine, DMA, scratchpad, TLB, DRAM counters) and with
     /// the executor's own point counters and wall histogram.
@@ -298,11 +284,7 @@ impl Default for SweepOptions {
             progress: true,
             checkpoint: None,
             resume: false,
-            progress_done: 0,
-            progress_total: 0,
             prune: None,
-            progress_cached: 0,
-            progress_pruned: 0,
             metrics: Metrics::disabled(),
             status: None,
             prometheus: None,
@@ -355,9 +337,16 @@ struct Pulse {
     grid_total: usize,
     start: Instant,
     workers: AtomicUsize,
-    /// Completions that did not execute in this call: cached + pruned.
-    baseline: AtomicUsize,
+    /// Grid points done so far, however they were done (cached, pruned,
+    /// simulated or served from an equal-fingerprint run). Every
+    /// completion takes its progress-line position from one `fetch_add`
+    /// here, so positions stay unique across workers and phases: a
+    /// 27-cached resume of a 32-point grid prints `[28/32]` first.
+    done: AtomicUsize,
+    /// Of `done`, points served from the checkpoint (progress lines'
+    /// `N cached` segment).
     cached: AtomicUsize,
+    /// Of `done`, points pruned (progress lines' `M pruned` segment).
     pruned: AtomicUsize,
     /// Points actually simulated here (successes and failures).
     executed: AtomicUsize,
@@ -408,12 +397,15 @@ impl Drop for InFlightGuard<'_> {
 }
 
 impl Pulse {
+    /// Starts the pulse for a `grid_total`-point sweep whose checkpoint
+    /// served `cached` completed points, `pruned` pruned ones and
+    /// `failed` recorded failures.
     fn start(
         opts: &SweepOptions,
         grid_total: usize,
-        baseline: usize,
         cached: usize,
         pruned: usize,
+        failed: usize,
     ) -> Arc<Self> {
         let pulse = Arc::new(Self {
             status: opts.status.clone(),
@@ -422,12 +414,12 @@ impl Pulse {
             grid_total,
             start: Instant::now(),
             workers: AtomicUsize::new(1),
-            baseline: AtomicUsize::new(baseline),
+            done: AtomicUsize::new(cached + pruned + failed),
             cached: AtomicUsize::new(cached),
             pruned: AtomicUsize::new(pruned),
             executed: AtomicUsize::new(0),
             pending: AtomicUsize::new(0),
-            failed: AtomicUsize::new(0),
+            failed: AtomicUsize::new(failed),
             wall_hist: Mutex::new(Log2Histogram::new()),
             last_beat: Mutex::new(Instant::now()),
             stop: AtomicBool::new(false),
@@ -531,7 +523,31 @@ impl Pulse {
     }
 
     fn done_total(&self) -> usize {
-        self.baseline.load(Ordering::Relaxed) + self.executed.load(Ordering::Relaxed)
+        self.done.load(Ordering::Relaxed)
+    }
+
+    /// Counts one more grid point done and returns its 1-based progress
+    /// position.
+    fn advance(&self) -> usize {
+        self.done.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// The bracketed progress prefix for position `k`: `[k/n]`, plus the
+    /// cached and pruned counts when there are any (`[28/32, 9 cached,
+    /// 6 pruned]`), so a resumed or pruned sweep is honest about how
+    /// much real simulation is happening.
+    fn position(&self, k: usize) -> String {
+        let mut s = format!("[{k}/{}", self.grid_total);
+        let cached = self.cached.load(Ordering::Relaxed);
+        if cached > 0 {
+            s.push_str(&format!(", {cached} cached"));
+        }
+        let pruned = self.pruned.load(Ordering::Relaxed);
+        if pruned > 0 {
+            s.push_str(&format!(", {pruned} pruned"));
+        }
+        s.push(']');
+        s
     }
 
     /// Points still to simulate: the grid minus everything done and
@@ -542,8 +558,9 @@ impl Pulse {
     }
 
     /// Folds one executed point in: wall histogram (local + registry),
-    /// point counters, and a heartbeat refresh.
-    fn record_point(&self, wall: Duration, ok: bool) {
+    /// point counters, and a heartbeat refresh. Returns the point's
+    /// progress position and how many points this sweep has simulated.
+    fn record_point(&self, wall: Duration, ok: bool) -> (usize, usize) {
         let micros = wall_micros(wall);
         self.wall_hist
             .lock()
@@ -556,21 +573,17 @@ impl Pulse {
             self.failed.fetch_add(1, Ordering::Relaxed);
             self.metrics.inc(Counter::PointsFailed);
         }
-        self.executed.fetch_add(1, Ordering::Relaxed);
+        let simulated = self.executed.fetch_add(1, Ordering::Relaxed) + 1;
+        let position = self.advance();
         self.beat("run");
+        (position, simulated)
     }
 
     /// Newly pruned points count as completions that never execute.
     fn add_pruned(&self, n: usize) {
         self.pruned.fetch_add(n, Ordering::Relaxed);
-        self.baseline.fetch_add(n, Ordering::Relaxed);
+        self.done.fetch_add(n, Ordering::Relaxed);
         self.beat("run");
-    }
-
-    /// `n` followers were served from an equal-fingerprint result: like
-    /// pruned points, completions that never execute.
-    fn add_followers(&self, n: usize) {
-        self.baseline.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current p50-based ETA over the remaining grid, if any point has
@@ -701,54 +714,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The generic executor: applies `f` to every `(label, item)` pair on a
-/// worker pool, isolating failures per item, and returns the results in
-/// submission order. [`run_sweep`] is the [`DesignPoint`] instantiation;
-/// binaries with bespoke per-point work (e.g. instruction-level
-/// ablations) can call this directly.
-pub fn sweep_map<I, T, F>(items: Vec<(String, I)>, opts: SweepOptions, f: F) -> Vec<SweepResult<T>>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> Result<T, AccelError> + Sync,
-{
-    let grid_total = if opts.progress_total > 0 {
-        opts.progress_total
-    } else {
-        items.len()
-    };
-    let pulse = Pulse::start(
-        &opts,
-        grid_total,
-        opts.progress_done,
-        opts.progress_cached,
-        opts.progress_pruned,
-    );
-    let monitor = PulseMonitor::spawn(&pulse);
-    let walled = |item| {
-        let start = Instant::now();
-        match f(item) {
-            Ok(t) => {
-                let wall = start.elapsed();
-                Ok((t, wall))
-            }
-            Err(e) => Err(SweepError::Accel(e)),
-        }
-    };
-    let results = sweep_map_walled(items, opts, &pulse, walled, |_, _| Vec::new())
-        .into_iter()
-        .map(|(result, _)| result)
-        .collect();
-    drop(monitor);
-    pulse.finalize();
-    results
-}
-
-/// The executor core: like [`sweep_map`], but the closure reports its own
-/// wall-clock alongside the payload, so wrappers that do bookkeeping
-/// around the simulation (checkpoint encoding and flushing) can keep the
-/// reported wall pure. Panics inside the closure are still caught and
-/// isolated per item.
+/// The executor core: applies `g` to every `(label, item)` pair on a
+/// worker pool and returns the results in submission order. The closure
+/// reports its own wall-clock alongside the payload, so bookkeeping
+/// around the simulation (checkpoint encoding and flushing) stays out of
+/// the reported wall. Panics inside the closure are caught and isolated
+/// per item.
 ///
 /// As soon as item `i` finishes, `followers(i, &result)` yields the
 /// results of the points waiting on it (see [`run_phase`]); each takes
@@ -756,7 +727,7 @@ where
 /// returned alongside it.
 fn sweep_map_walled<I, T, G, H>(
     items: Vec<(String, I)>,
-    opts: SweepOptions,
+    opts: &SweepOptions,
     pulse: &Pulse,
     g: G,
     followers: H,
@@ -774,34 +745,8 @@ where
     let workers = worker_count(opts.threads, total);
     pulse.workers.store(workers, Ordering::Relaxed);
     pulse.metrics.set_gauge(Gauge::SweepWorkers, workers as u64);
-    // Progress lines report true grid position: a resumed sweep passes
-    // the whole-grid total and the already-cached count so the first
-    // fresh point of a 27-cached/32-point resume prints `[28/32]`. The
-    // pts/s rate stays execution throughput (cached points cost ~0s and
-    // would inflate it into a lie of the opposite kind).
-    let grid_total = if opts.progress_total > 0 {
-        opts.progress_total
-    } else {
-        total
-    };
-    let done_offset = opts.progress_done;
-    // Cached/pruned points are accounted separately inside the bracket
-    // (`[28/32, 9 cached, 6 pruned]`) so a resumed or pruned sweep's
-    // position is honest about how much real simulation is happening.
-    // Fresh unpruned sweeps keep the historical `[k/n]` form exactly.
-    let mut provenance = String::new();
-    if opts.progress_cached > 0 {
-        provenance.push_str(&format!(", {} cached", opts.progress_cached));
-    }
-    if opts.progress_pruned > 0 {
-        provenance.push_str(&format!(", {} pruned", opts.progress_pruned));
-    }
-    let sweep_start = Instant::now();
 
-    // `done` counts progress positions (leaders and their followers);
-    // `ran` counts simulations, the pts/s numerator.
-    let ran = AtomicUsize::new(0);
-    let run_one = |idx: usize, label: &str, item: I, done: &AtomicUsize| {
+    let run_one = |idx: usize, label: &str, item: I| {
         let attempt_start = Instant::now();
         pulse.metrics.gauge_add(Gauge::PointsInFlight, 1);
         let (outcome, wall) = match catch_unwind(AssertUnwindSafe(|| g(item))) {
@@ -813,12 +758,12 @@ where
             ),
         };
         pulse.metrics.gauge_sub(Gauge::PointsInFlight, 1);
-        pulse.record_point(wall, outcome.is_ok());
-        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-        let simulated = ran.fetch_add(1, Ordering::Relaxed) + 1;
+        let (position, simulated) = pulse.record_point(wall, outcome.is_ok());
         if opts.progress {
             let status = if outcome.is_ok() { "" } else { "FAILED " };
-            let elapsed = sweep_start.elapsed().as_secs_f64();
+            // The rate is execution throughput: cached, pruned and
+            // served points cost ~0s and would inflate it.
+            let elapsed = pulse.start.elapsed().as_secs_f64();
             let rate = simulated as f64 / elapsed.max(1e-9);
             // The ETA column comes from the shared per-point wall
             // histogram: p50 bucket bound × remaining waves, clamped.
@@ -827,8 +772,8 @@ where
                 .map(|s| format!(", eta {}", format_eta(s)))
                 .unwrap_or_default();
             eprintln!(
-                "[{}/{grid_total}{provenance}] {label} {status}{:.1}s | {elapsed:.1}s elapsed, {rate:.2} pts/s{eta}",
-                finished + done_offset,
+                "{} {label} {status}{:.1}s | {elapsed:.1}s elapsed, {rate:.2} pts/s{eta}",
+                pulse.position(position),
                 wall.as_secs_f64()
             );
         }
@@ -841,14 +786,13 @@ where
         };
         let copies = followers(idx, &result);
         for copy in &copies {
-            pulse.add_followers(1);
             pulse.pending.fetch_sub(1, Ordering::Relaxed);
-            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            let position = pulse.advance();
             if opts.progress {
                 let status = if copy.outcome.is_ok() { "" } else { "FAILED " };
                 eprintln!(
-                    "[{}/{grid_total}{provenance}] {} {status}served from '{label}' (equal fingerprint)",
-                    finished + done_offset,
+                    "{} {} {status}served from '{label}' (equal fingerprint)",
+                    pulse.position(position),
                     copy.label
                 );
             }
@@ -859,14 +803,13 @@ where
         (result, copies)
     };
 
-    let done = AtomicUsize::new(0);
     if workers == 1 {
         // Fully serial on the caller's thread: identical scheduling to
         // the historical per-binary loops.
         return items
             .into_iter()
             .enumerate()
-            .map(|(idx, (label, item))| run_one(idx, &label, item, &done))
+            .map(|(idx, (label, item))| run_one(idx, &label, item))
             .collect();
     }
 
@@ -893,7 +836,7 @@ where
                     .expect("work slot lock")
                     .take()
                     .expect("each index is claimed exactly once");
-                let result = run_one(idx, &label, item, &done);
+                let result = run_one(idx, &label, item);
                 *slots[idx].lock().expect("result slot lock") = Some(result);
             });
         }
@@ -909,11 +852,15 @@ where
         .collect()
 }
 
-/// The checkpointing executor: like [`sweep_map`], but each item carries
-/// a fingerprint of everything that can change its result, completed
-/// results are appended to `opts.checkpoint` as flushed JSON lines, and
-/// — in resume mode — points whose `(label, fingerprint)` already appear
-/// in the file are served from it without running.
+/// The sweep executor: applies `f` to every `(label, fingerprint, item)`
+/// triple on a worker pool (`opts.threads`, else `GEMMINI_THREADS`),
+/// isolating failures — an [`AccelError`] or a panic — per item, and
+/// returns the results in submission order. The fingerprint covers
+/// everything that can change the item's result. With
+/// `opts.checkpoint` set, completed results are appended to it as
+/// flushed JSON lines, and — in resume mode — points whose `(label,
+/// fingerprint)` already appear in the file are served from it without
+/// running.
 ///
 /// A killed sweep therefore loses at most its in-flight points, and a
 /// resumed sweep re-executes only stale or missing ones.
@@ -990,68 +937,39 @@ where
     // Real, successful results by fingerprint (first in submission
     // order): what later equal-fingerprint points may copy.
     let mut known: HashMap<u64, usize> = HashMap::new();
+    let replayable = |ev: &PruneEvidence| {
+        policy.is_some()
+            && grid
+                .get(&ev.basis_label)
+                .is_some_and(|&(fp, _)| fp == ev.basis_fingerprint)
+    };
     for (idx, (label, fingerprint, item)) in items.into_iter().enumerate() {
-        let served = match checkpoint.take(&label, fingerprint) {
-            Some(entry) => match entry.pruned {
-                None => {
-                    cached_run += 1;
-                    known.entry(fingerprint).or_insert(idx);
-                    slots[idx] = Some(SweepResult {
-                        label: label.clone(),
-                        outcome: Ok(entry.payload),
-                        wall: entry.wall,
-                        cached: true,
-                        pruned: None,
-                    });
-                    true
-                }
-                Some(evidence) => {
-                    let basis_current = grid
-                        .get(&evidence.basis_label)
-                        .is_some_and(|&(fp, _)| fp == evidence.basis_fingerprint);
-                    if policy.is_some() && basis_current {
-                        cached_pruned += 1;
-                        slots[idx] = Some(SweepResult {
-                            label: label.clone(),
-                            outcome: Ok(entry.payload),
-                            wall: entry.wall,
-                            cached: true,
-                            pruned: Some(evidence),
-                        });
-                        true
-                    } else {
-                        false
-                    }
-                }
-            },
+        let line = match checkpoint.take(&label, fingerprint) {
+            Some(entry) if entry.pruned.as_ref().is_some_and(|ev| !replayable(ev)) => None,
+            Some(entry) => Some(Line::Completed(entry)),
             // A recorded failure (timeout) is served as a first-class
             // `Err` result rather than re-attempted: a deterministic
             // hang must not wedge every resume cycle. Deleting the line
             // (or running without --resume) re-runs the point.
-            None => match checkpoint.take_failed(&label, fingerprint) {
-                Some(failure) => {
-                    cached_failed += 1;
-                    slots[idx] = Some(SweepResult {
-                        label: label.clone(),
-                        outcome: Err(SweepError::Recorded(failure.reason)),
-                        wall: failure.wall,
-                        cached: true,
-                        pruned: None,
-                    });
-                    true
-                }
-                None => false,
-            },
+            None => checkpoint
+                .take_failed(&label, fingerprint)
+                .map(Line::Failed),
         };
-        if !served {
-            to_run.push((idx, label, fingerprint, item));
+        match &line {
+            None => to_run.push((idx, label, fingerprint, item)),
+            Some(Line::Completed(entry)) if entry.pruned.is_some() => cached_pruned += 1,
+            Some(Line::Completed(_)) => {
+                cached_run += 1;
+                known.entry(fingerprint).or_insert(idx);
+            }
+            Some(Line::Failed(_)) => cached_failed += 1,
         }
+        slots[idx] = line.map(SweepResult::from);
     }
     let skipped = total - to_run.len();
     // One telemetry pulse spans both execution phases, so the heartbeat
     // and ETA see whole-grid progress rather than per-phase slices.
-    let pulse = Pulse::start(&opts, total, skipped, cached_run, cached_pruned);
-    pulse.failed.fetch_add(cached_failed, Ordering::Relaxed);
+    let pulse = Pulse::start(&opts, total, cached_run, cached_pruned, cached_failed);
     let monitor = PulseMonitor::spawn(&pulse);
     opts.metrics
         .add(Counter::PointsCached, (cached_run + cached_pruned) as u64);
@@ -1126,41 +1044,12 @@ where
         }
     }
 
-    // Test-only crash hook (CI and the shard supervisor tests): on a
-    // fresh sweep, simulate a hard crash as the k+1-th execution begins,
-    // leaving exactly k completed points in the checkpoint. Resumed
-    // sweeps (skipped > 0) never crash, so a retry completes. The
-    // counter is shared across both execution phases.
-    let crash_hook = if skipped == 0 {
-        std::env::var(CRASH_AFTER_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|k| (k, AtomicUsize::new(0)))
-    } else {
-        None
-    };
-    // Same shape as the crash hook, but the worker wedges instead of
-    // aborting — the supervisor watchdog's test prey.
-    let hang_hook = if skipped == 0 {
-        std::env::var(HANG_AFTER_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|k| (k, AtomicUsize::new(0)))
-    } else {
-        None
-    };
-
+    // The `sweep.point` failpoint fires only in a sweep that served no
+    // point from its checkpoint, so a resumed retry runs past it.
+    let fresh = skipped == 0;
     let writer_ref = &writer;
-    let crash_hook = &crash_hook;
-    let hang_hook = &hang_hook;
     let pulse_ref = &pulse;
     let run_point = move |(label, fingerprint, item): (String, u64, I)| {
-        if let Some((k, started)) = crash_hook {
-            if started.fetch_add(1, Ordering::SeqCst) >= *k {
-                eprintln!("sweep: {CRASH_AFTER_ENV} hook: aborting before '{label}'");
-                std::process::abort();
-            }
-        }
         // Deregisters on every exit path, including a panic inside `f`
         // (unwinding must not leave a ghost in-flight entry for the
         // timeout monitor to "time out" later).
@@ -1168,16 +1057,13 @@ where
             pulse: pulse_ref,
             ticket: pulse_ref.enter_point(&label, fingerprint),
         };
-        if let Some((k, started)) = hang_hook {
-            if started.fetch_add(1, Ordering::SeqCst) >= *k {
-                eprintln!("sweep: {HANG_AFTER_ENV} hook: hanging in '{label}'");
-                crate::fault::hang_forever("test.hang_after");
+        if fresh {
+            match fault::fire("sweep.point") {
+                Some(FaultAction::Hang) => fault::hang_forever("sweep.point"),
+                Some(FaultAction::Abort) => std::process::abort(),
+                Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+                _ => {}
             }
-        }
-        match crate::fault::fire("sweep.point") {
-            Some(crate::fault::FaultAction::Hang) => crate::fault::hang_forever("sweep.point"),
-            Some(crate::fault::FaultAction::Delay(d)) => std::thread::sleep(d),
-            _ => {}
         }
         let start = Instant::now();
         let payload = f(item).map_err(SweepError::Accel)?;
@@ -1202,21 +1088,13 @@ where
         }
     };
 
-    // Phase 1: bases and ungrouped points. The inner executor sees only
-    // the points that still need to run; progress lines must nevertheless
-    // report whole-grid positions and provenance.
-    let mut run_opts = opts.clone();
-    run_opts.progress_done = skipped;
-    run_opts.progress_total = total;
-    run_opts.progress_cached = cached_run;
-    run_opts.progress_pruned = cached_pruned;
-    let phase1_count = phase1.len();
+    // Phase 1: bases and ungrouped points.
     let mut followed = run_phase(
         phase1,
         &mut slots,
         &mut known,
         writer.as_deref(),
-        run_opts,
+        &opts,
         &pulse,
         &run_point,
     );
@@ -1280,17 +1158,12 @@ where
 
     // Phase 2: members the evidence could not excuse.
     if !phase2.is_empty() {
-        let mut run_opts = opts.clone();
-        run_opts.progress_done = skipped + phase1_count + newly_pruned;
-        run_opts.progress_total = total;
-        run_opts.progress_cached = cached_run;
-        run_opts.progress_pruned = cached_pruned + newly_pruned;
         followed += run_phase(
             phase2,
             &mut slots,
             &mut known,
             writer.as_deref(),
-            run_opts,
+            &opts,
             &pulse,
             &run_point,
         );
@@ -1353,7 +1226,7 @@ fn run_phase<I, T, G>(
     slots: &mut [Option<SweepResult<T>>],
     known: &mut HashMap<u64, usize>,
     writer: Option<&CheckpointWriter>,
-    mut opts: SweepOptions,
+    opts: &SweepOptions,
     pulse: &Pulse,
     run_point: G,
 ) -> usize
@@ -1379,8 +1252,7 @@ where
             followers.push(Vec::new());
         }
     }
-    pulse.add_followers(copied);
-    opts.progress_done += copied;
+    pulse.done.fetch_add(copied, Ordering::Relaxed);
     let queued: usize = followers.iter().map(Vec::len).sum();
     pulse.pending.fetch_add(queued, Ordering::Relaxed);
 
@@ -1438,12 +1310,6 @@ fn follow<T: ToJson + Clone>(
         cached: false,
         pruned: None,
     }
-}
-
-/// Runs a batch of [`DesignPoint`]s with default options (worker count
-/// from `GEMMINI_THREADS`, progress lines on).
-pub fn run_sweep(points: Vec<DesignPoint>) -> Vec<SweepResult<SocReport>> {
-    run_sweep_with(points, SweepOptions::default())
 }
 
 /// Runs a batch of [`DesignPoint`]s with explicit options. With
@@ -1520,11 +1386,15 @@ mod tests {
         }
     }
 
+    /// `n` points `p0..` whose item and fingerprint are their index.
+    fn grid(n: u64) -> Vec<(String, u64, u64)> {
+        (0..n).map(|i| (format!("p{i}"), i, i)).collect()
+    }
+
     #[test]
     fn results_arrive_in_submission_order() {
-        let items: Vec<(String, u64)> = (0..16).map(|i| (format!("p{i}"), i)).collect();
-        let results = sweep_map(
-            items,
+        let results = sweep_map_checkpointed(
+            grid(16),
             SweepOptions {
                 threads: 4,
                 progress: false,
@@ -1544,9 +1414,8 @@ mod tests {
 
     #[test]
     fn panicking_item_is_isolated() {
-        let items: Vec<(String, u64)> = (0..6).map(|i| (format!("p{i}"), i)).collect();
-        let results = sweep_map(
-            items,
+        let results = sweep_map_checkpointed(
+            grid(6),
             SweepOptions {
                 threads: 3,
                 progress: false,
@@ -1577,11 +1446,11 @@ mod tests {
     #[test]
     fn accel_error_is_isolated() {
         let items = vec![
-            ("ok".to_string(), 1u32),
-            ("bad".to_string(), 2),
-            ("ok2".to_string(), 3),
+            ("ok".to_string(), 1, 1u64),
+            ("bad".to_string(), 2, 2),
+            ("ok2".to_string(), 3, 3),
         ];
-        let results = sweep_map(items, quiet(), |i| {
+        let results = sweep_map_checkpointed(items, quiet(), |i| {
             if i == 2 {
                 Err(AccelError::NoPreload)
             } else {
@@ -1607,7 +1476,7 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_empty() {
-        let results = sweep_map(Vec::<(String, ())>::new(), quiet(), |_| Ok(0u8));
+        let results = sweep_map_checkpointed(grid(0), quiet(), |_| Ok(0u64));
         assert!(results.is_empty());
     }
 

@@ -11,7 +11,7 @@ use gemmini_dnn::graph::{Activation, Layer, Network};
 use gemmini_soc::checkpoint::Checkpoint;
 use gemmini_soc::run::{run_networks, RunOptions, SocReport};
 use gemmini_soc::sweep::{
-    merge_memory_stats, run_sweep_with, sweep_map, sweep_map_checkpointed, DesignPoint, SweepError,
+    merge_memory_stats, run_sweep_with, sweep_map_checkpointed, DesignPoint, SweepError,
     SweepOptions,
 };
 use gemmini_soc::SocConfig;
@@ -151,9 +151,9 @@ fn workers_overlap_waiting_points() {
     // Sleep-based tasks prove the pool genuinely overlaps work even on
     // a single-CPU host (sleeps need no core to overlap): 8 x 50 ms
     // serially is 400 ms, but four workers finish in ~100 ms.
-    let items: Vec<(String, u64)> = (0..8).map(|i| (format!("p{i}"), i)).collect();
+    let items: Vec<(String, u64, u64)> = (0..8).map(|i| (format!("p{i}"), i, i)).collect();
     let start = Instant::now();
-    let results = sweep_map(items, opts(4), |i| {
+    let results = sweep_map_checkpointed(items, opts(4), |i| {
         std::thread::sleep(Duration::from_millis(50));
         Ok(i)
     });
@@ -170,10 +170,10 @@ fn serial_mode_runs_on_caller_thread() {
     // threads=1 must not spawn: the closure observes the caller's
     // thread id for every point.
     let caller = std::thread::current().id();
-    let items: Vec<(String, ())> = (0..4).map(|i| (format!("p{i}"), ())).collect();
-    let results = sweep_map(items, opts(1), |_| {
+    let items: Vec<(String, u64, u64)> = (0..4).map(|i| (format!("p{i}"), i, i)).collect();
+    let results = sweep_map_checkpointed(items, opts(1), |i| {
         assert_eq!(std::thread::current().id(), caller);
-        Ok(())
+        Ok(i)
     });
     assert!(results.iter().all(|r| r.outcome.is_ok()));
 }
