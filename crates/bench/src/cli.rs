@@ -5,8 +5,9 @@
 //!
 //! Only `main` parses. A binary names the tables it accepts — the shared
 //! [`SWEEP_FLAGS`] plus its own rows — and nothing else gets through:
-//! an unknown flag, a missing or malformed value, or two shard modes at
-//! once exits `2` with a usage line before anything is simulated.
+//! an unknown flag, a missing or malformed value, two shard modes at
+//! once, or a mode flag its run cannot use exits `2` with a usage line
+//! before anything is simulated.
 //! `--help` prints the usage and exits `0` without running anything.
 
 use std::path::PathBuf;
@@ -68,8 +69,8 @@ pub const SWEEP_FLAGS: &[Flag] = &[
     row("--point-timeout", One, "<secs>", "record a longer-running point as failed:timeout"),
     row("--watchdog", One, "<secs>", "kill and retry a --shards worker whose heartbeat stalls"),
     row("--faults", One, "<schedule>", "arm failpoints: site=action[@hit][#shard],..."),
-    row("--shard", One, "<i/N>", "run only shard i of N of the grid"),
-    row("--shards", One, "<N>", "run the grid as N supervised worker processes"),
+    row("--shard", One, "<i/N>", "run only shard i of N of the grid (needs --json)"),
+    row("--shards", One, "<N>", "run the grid as N supervised worker processes (needs --json)"),
     row("--merge", Many, "<file>...", "stitch shard checkpoints into the grid, no simulation"),
 ];
 
@@ -182,8 +183,9 @@ impl Cli {
     ///
     /// [`CliError::Help`] on `--help`; [`CliError::Usage`] for an
     /// unknown flag or surplus argument, a missing or malformed value,
-    /// a missing required positional, conflicting shard modes, or a
-    /// fault schedule that cannot fire.
+    /// a missing required positional, conflicting shard modes, a fault
+    /// schedule that cannot fire, a shard mode without `--json`, or
+    /// `--watchdog` without a shard mode.
     pub(crate) fn try_parse(tables: &[&[Flag]], args: &[String]) -> Result<Cli, CliError> {
         if args.iter().any(|a| a == "--help") {
             return Err(CliError::Help);
@@ -245,9 +247,13 @@ impl Cli {
             return Err("--shard, --shards and --merge are mutually exclusive".to_string());
         }
         let mode = modes.pop().unwrap_or_default();
+        let json = value("--json").map(PathBuf::from);
+        let watchdog = secs("--watchdog")?;
         let faults = value("--faults").map(|v| Schedule::parse(&v)).transpose();
         let faults = faults.map_err(|e| format!("--faults: {e}"))?;
-        // A `#i` entry can only fire in shard worker i of this run.
+        // Shard files are named after the --json base path; only shard
+        // workers write heartbeats to watch; a `#i` fault entry can only
+        // fire in shard worker i of this run.
         let shards = match mode {
             ShardCli::Shard(spec) => spec.count,
             ShardCli::Supervise(n) => n,
@@ -260,16 +266,22 @@ impl Cli {
         {
             return Err(format!("--faults: '#{i}' names no shard of this run"));
         }
+        if shards > 0 && json.is_none() {
+            return Err("--shard and --shards require --json <path>".to_string());
+        }
+        if shards == 0 && watchdog.is_some() {
+            return Err("--watchdog requires --shards <N> or --shard <i/N>".to_string());
+        }
         Ok(Cli {
             quick: last("--quick").is_some(),
-            json: value("--json").map(PathBuf::from),
+            json,
             resume: last("--resume").is_some(),
             prune: last("--prune").is_some(),
             trace: value("--trace").map(PathBuf::from),
             status: value("--status").map(PathBuf::from),
             metrics: value("--metrics").map(PathBuf::from),
             point_timeout: secs("--point-timeout")?,
-            watchdog: secs("--watchdog")?,
+            watchdog,
             faults,
             mode,
             only: value("--only"),
@@ -450,7 +462,15 @@ mod tests {
             usage_error(&["--shards", "2", "--faults", "sweep.point=hang#2"])
                 .contains("'#2' names no shard")
         );
-        assert!(sweep(&["--shard", "1/2", "--faults", "sweep.point=hang#1"]).is_ok());
+        let worker = [
+            "--json",
+            "s.jsonl",
+            "--shard",
+            "1/2",
+            "--faults",
+            "sweep.point=hang#1",
+        ];
+        assert!(sweep(&worker).is_ok());
     }
 
     #[test]

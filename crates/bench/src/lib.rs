@@ -17,12 +17,11 @@ use gemmini_core::AccelError;
 use gemmini_dnn::graph::{Activation, Layer, Network, PoolKind};
 use gemmini_mem::json::{FromJson, Json, ToJson};
 use gemmini_soc::fault;
-use gemmini_soc::prune::{summarize, Attributed, PrunePolicy};
+use gemmini_soc::prune::{Attributed, PrunePolicy};
 use gemmini_soc::run::{
     run_networks, run_networks_metered, run_networks_traced, RunOptions, SocReport,
 };
-use gemmini_soc::shard::{run_sharded, ShardCli, ShardError};
-use gemmini_soc::sweep::EXIT_RECORDED_FAILURES;
+use gemmini_soc::shard::{run_lifecycle, ShardCli};
 use gemmini_soc::SocConfig;
 
 pub mod cli;
@@ -118,17 +117,15 @@ impl Cli {
         let mut status = self.status.clone();
         if self.watchdog.is_some() && status.is_none() {
             // The watchdog reads worker heartbeats; without --status it
-            // derives a status base from the checkpoint path. Workers
-            // derive the same base from the same flags.
+            // derives a status base from the checkpoint path (sharded
+            // runs always have one). Workers derive the same base from
+            // the same flags.
             status = self.json.as_deref().map(derived_status_path);
-            match &status {
-                Some(path) => eprintln!(
+            if let Some(path) = &status {
+                eprintln!(
                     "watchdog: no --status given; deriving heartbeat base {}",
                     path.display()
-                ),
-                None => eprintln!(
-                    "warning: --watchdog without --json or --status has no heartbeats to watch"
-                ),
+                );
             }
         }
         let metrics = if self.status.is_some() || self.metrics.is_some() {
@@ -159,13 +156,13 @@ impl Cli {
     /// to render, and `main` should simply return. In every other mode
     /// the full-grid results come back in submission order.
     ///
-    /// Exits the process with status `1` on an execution error
-    /// (supervisor exhaustion, incomplete merge, or failed shard points
-    /// — the non-zero exit is what tells a supervisor to retry this
-    /// worker), and [`EXIT_RECORDED_FAILURES`] when the grid finished
-    /// but carries recorded point failures (e.g. `--point-timeout`
-    /// entries): the checkpoint is complete, a terminal failure summary
-    /// is printed, and retrying would not improve the result.
+    /// Exits the process instead with the non-zero code the sweep's
+    /// lifecycle ([`run_lifecycle`]) settles on: `1` when a point is
+    /// missing, stale, unpersisted or failed in execution, or the
+    /// supervisor gave up — the non-zero exit is what tells a supervisor
+    /// to retry this worker — and `3` when the grid is complete but
+    /// carries recorded point failures (e.g. `--point-timeout` entries),
+    /// which retrying would not improve.
     pub fn sharded_sweep_map<I, T, F>(
         &self,
         items: Vec<(String, u64, I)>,
@@ -216,8 +213,6 @@ impl Cli {
             };
             fault::arm(schedule, shard);
         }
-        let prune_active = opts.prune.is_some();
-        let stitched = matches!(self.mode, ShardCli::Supervise(_) | ShardCli::Merge(_));
         // A shard worker is this binary again, with the argv rendered
         // from this command line in `--shard i/N --resume` mode.
         let exe = std::env::current_exe().expect("current executable path");
@@ -226,57 +221,8 @@ impl Cli {
             cmd.args(self.worker_args(spec));
             cmd
         };
-        match run_sharded(items, &self.mode, opts, worker, f) {
-            Ok(results) => {
-                if let (Some(results), true, true) = (&results, prune_active, stitched) {
-                    let s = summarize(results);
-                    eprintln!(
-                        "sweep: pruned {}/{} point(s) across shards ({} simulated)",
-                        s.pruned,
-                        s.total(),
-                        s.ran
-                    );
-                }
-                // The grid may carry recorded failures (e.g. point timeouts
-                // served from a checkpoint on resume, or stitched in by a
-                // merge): the sweep *finished* — every point is on the books
-                // — but the figure cannot be rendered from an incomplete
-                // grid. Print the terminal failure summary and exit with the
-                // recorded-failures status instead of handing `Err` outcomes
-                // to a renderer that expects successes.
-                if let Some(results) = &results {
-                    let recorded: Vec<&SweepResult<T>> =
-                        results.iter().filter(|r| r.outcome.is_err()).collect();
-                    if !recorded.is_empty() {
-                        eprintln!(
-                            "sweep: finished with {} recorded point failure(s):",
-                            recorded.len()
-                        );
-                        for r in &recorded {
-                            if let Err(e) = &r.outcome {
-                                eprintln!("  {}: {e}", r.label);
-                            }
-                        }
-                        eprintln!(
-                            "sweep: grid is fully accounted for but incomplete; \
-                             exiting {EXIT_RECORDED_FAILURES}"
-                        );
-                        std::process::exit(EXIT_RECORDED_FAILURES);
-                    }
-                }
-                results
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                let code = match &e {
-                    // A complete slice with recorded failures is terminal:
-                    // the supervisor must accept it rather than retry it.
-                    ShardError::RecordedFailures { .. } => EXIT_RECORDED_FAILURES,
-                    _ => 1,
-                };
-                std::process::exit(code);
-            }
-        }
+        run_lifecycle(items, &self.mode, opts, worker, f)
+            .unwrap_or_else(|code| std::process::exit(code))
     }
 }
 

@@ -429,9 +429,9 @@ fn point_timeout_records_failure_and_resume_serves_it() {
 /// The chaos acceptance run: a supervised 2-shard quick fig8 sweep with
 /// one injected hang (shard 1, killed and retried by the watchdog) *and*
 /// one injected checkpoint corruption (shard 0's fifth append torn
-/// mid-line by the fault registry). The torn line is caught by the
-/// worker's post-flight verification, quarantined to the `.bad` sidecar
-/// on retry, and exactly that point is re-run — the merged report must
+/// mid-line by the fault registry). The torn line is caught when the
+/// worker stitches its own slice, quarantined to the `.bad` sidecar,
+/// and exactly that point is re-run on retry — the merged report must
 /// come out bit-identical to the clean single-process golden.
 #[test]
 fn fig8_chaos_hang_and_corruption_heal_bit_identical() {
@@ -727,8 +727,10 @@ fn fig7_serves_equal_fingerprint_points_from_one_run() {
 }
 
 /// Bad input fails loudly: a typo'd flag, a flag missing its value,
-/// two shard modes and unfireable fault schedules all exit 2 with a
-/// usage line before a single point is simulated.
+/// two shard modes, unfireable fault schedules and mode flags the run
+/// cannot use (shards without a `--json` base path, a watchdog with no
+/// workers to watch) all exit 2 with a usage line before a single point
+/// is simulated.
 #[test]
 fn bad_input_exits_2_before_simulating() {
     for args in [
@@ -737,6 +739,9 @@ fn bad_input_exits_2_before_simulating() {
         &["--quick", "--shard", "0/2", "--shards", "2"],
         &["--quick", "--faults", "sweep.point=explode"],
         &["--quick", "--faults", "sweep.pont=hang"],
+        &["--quick", "--shard", "0/2"],
+        &["--quick", "--shards", "2"],
+        &["--quick", "--watchdog", "5"],
     ] {
         let out = run(FIG8, args, &[]);
         let err = stderr(&out);

@@ -84,7 +84,7 @@ pub mod tiling;
 
 pub use prune::{Attributed, PruneEvidence, PrunePolicy, PruneSummary};
 pub use run::{run_networks, CoreReport, RunOptions, SocReport};
-pub use shard::{run_sharded, ShardCli, ShardError, ShardSpec};
+pub use shard::{run_lifecycle, ShardCli, ShardSpec};
 pub use soc::{CoreConfig, SocConfig};
 pub use sweep::{run_sweep_with, DesignPoint, SweepError, SweepOptions, SweepResult};
 pub use tiling::TilePlan;

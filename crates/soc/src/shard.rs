@@ -45,9 +45,10 @@
 //!   exact merge monoids, so the merged output is bit-identical to a
 //!   single-process run.
 //!
-//! [`run_sharded`] ties the three together behind the sweep binaries'
+//! [`run_lifecycle`] ties the three together behind the sweep binaries'
 //! shared CLI: `--shard` / `--shards` / `--merge` select a [`ShardCli`]
-//! mode.
+//! mode, which only chooses the inputs of one run → stitch → exit
+//! lifecycle.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -59,9 +60,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::checkpoint::{Checkpoint, CheckpointEntry, CheckpointWriter, Line};
-use crate::prune::{Attributed, PrunePolicy};
+use crate::prune::{summarize, Attributed, PrunePolicy};
 use crate::sweep::{
-    sweep_map_checkpointed, SweepError, SweepOptions, SweepResult, EXIT_RECORDED_FAILURES,
+    exit_code, sweep_map_checkpointed, SweepOptions, SweepResult, Tally, EXIT_RECORDED_FAILURES,
 };
 use crate::telemetry::{
     format_eta, heartbeat_age, read_heartbeat, write_heartbeat, write_prometheus, Heartbeat,
@@ -693,15 +694,20 @@ fn finalize_fleet(
     retry_counts: &[AtomicU64],
     phase: &str,
 ) {
-    let Some(status) = &opts.status else { return };
-    let (mut fleet, _) = fleet_snapshot(status, specs, retry_counts);
-    fleet.phase = phase.to_string();
-    fleet.eta_secs = None;
-    let _ = write_heartbeat(status, &fleet);
-    if phase == "done" {
-        if let Some(prom) = &opts.prometheus {
-            let _ = write_prometheus(prom, &fleet.metrics.clone().unwrap_or_default());
+    let snapshot = match &opts.status {
+        Some(status) => {
+            let (mut fleet, _) = fleet_snapshot(status, specs, retry_counts);
+            fleet.phase = phase.to_string();
+            fleet.eta_secs = None;
+            let _ = write_heartbeat(status, &fleet);
+            Some(fleet.metrics.unwrap_or_default())
         }
+        // Without heartbeats there is no fleet snapshot to merge; expose
+        // at least the supervisor's own registry.
+        None => opts.metrics.snapshot(),
+    };
+    if let (Some(prom), Some(snapshot), "done") = (&opts.prometheus, snapshot, phase) {
+        let _ = write_prometheus(prom, &snapshot);
     }
 }
 
@@ -758,7 +764,7 @@ impl fmt::Display for MergeError {
                 )
             }
             Self::Incomplete { missing, stale } => {
-                write!(f, "shard checkpoints do not cover the grid:")?;
+                write!(f, "checkpoints do not cover every point:")?;
                 if !missing.is_empty() {
                     write!(
                         f,
@@ -770,7 +776,11 @@ impl fmt::Display for MergeError {
                 if !stale.is_empty() {
                     write!(f, " {} point(s) stale ({})", stale.len(), preview(stale))?;
                 }
-                Ok(())
+                write!(
+                    f,
+                    "; resuming a shard re-runs exactly the points stale, \
+                     missing or damaged in its checkpoint"
+                )
             }
             Self::PruneMismatch { disagreeing } => write!(
                 f,
@@ -785,49 +795,16 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// The product of a successful shard merge: one [`Line`] per expected
-/// grid point in submission order — completed entries plus any recorded
-/// failures (which satisfy coverage: the grid *finished*, just with
-/// those failures on the books) — and the per-shard quarantine tallies
-/// from loading the checkpoint files.
-#[derive(Debug)]
-pub struct MergedGrid<T> {
-    /// One line per grid point, in submission order.
-    pub lines: Vec<Line<T>>,
-    /// For each shard checkpoint loaded (in the order given), how many
-    /// damaged lines were quarantined to its `.bad` sidecar.
-    pub quarantined: Vec<(PathBuf, usize)>,
-}
-
-impl<T> MergedGrid<T> {
-    /// Labels of the grid points carried as recorded failures, in
-    /// submission order.
-    pub fn failed_labels(&self) -> Vec<String> {
-        self.lines
-            .iter()
-            .filter_map(|line| match line {
-                Line::Failed(f) => Some(f.label.clone()),
-                Line::Completed(_) => None,
-            })
-            .collect()
-    }
-
-    /// Total damaged lines quarantined across all shard files.
-    pub fn total_quarantined(&self) -> usize {
-        self.quarantined.iter().map(|(_, n)| n).sum()
-    }
-}
-
 /// Loads shard checkpoint files and stitches one line per expected
 /// `(label, fingerprint)` pair, in the order given — grid submission
 /// order — regardless of which shard ran which point or in what order
 /// points completed. Damaged lines are quarantined to each file's
-/// `.bad` sidecar while loading (see [`Checkpoint::load_quarantining`])
-/// and tallied per shard in the result. Validation is exact: a grid
-/// point with no entry is reported missing, and one whose entry's
-/// fingerprint no longer matches is reported stale (either means the
-/// shards must run again before the merge can succeed). A recorded
-/// failure with a current fingerprint covers its point.
+/// `.bad` sidecar while loading (see [`Checkpoint::load_quarantining`]).
+/// Validation is exact: a grid point with no entry is reported missing,
+/// and one whose entry's fingerprint no longer matches is reported stale
+/// (either means the shards must run again before the merge can
+/// succeed). A recorded failure with a current fingerprint covers its
+/// point: the grid *finished*, just with that failure on the books.
 ///
 /// # Errors
 ///
@@ -837,16 +814,13 @@ impl<T> MergedGrid<T> {
 pub fn merge_shards<T: FromJson>(
     expected: &[(String, u64)],
     paths: &[PathBuf],
-) -> Result<MergedGrid<T>, MergeError> {
+) -> Result<Vec<Line<T>>, MergeError> {
     let mut combined = Checkpoint::<T>::default();
-    let mut quarantined = Vec::with_capacity(paths.len());
     for path in paths {
-        let (loaded, quarantine) =
-            Checkpoint::load_quarantining(path).map_err(|e| MergeError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-        quarantined.push((path.clone(), quarantine.lines));
+        let (loaded, _) = Checkpoint::load_quarantining(path).map_err(|e| MergeError::Io {
+            path: path.clone(),
+            message: e.to_string(),
+        })?;
         combined.absorb(loaded);
     }
     let mut lines = Vec::with_capacity(expected.len());
@@ -897,7 +871,7 @@ pub fn merge_shards<T: FromJson>(
         .map(|e| e.label.clone())
         .collect();
     if disagreeing.is_empty() {
-        Ok(MergedGrid { lines, quarantined })
+        Ok(lines)
     } else {
         Err(MergeError::PruneMismatch { disagreeing })
     }
@@ -923,9 +897,9 @@ pub fn write_entries<T: ToJson>(path: &Path, lines: &[Line<T>]) -> io::Result<()
 }
 
 /// How a sweep process runs its grid: the mode the sweep binaries'
-/// `--shard` / `--shards` / `--merge` flags select. Every mode but
-/// `Single` needs the sweep's `--json` base path to locate shard
-/// checkpoints.
+/// `--shard` / `--shards` / `--merge` flags select. `Shard` and
+/// `Supervise` need the sweep's `--json` base path to locate shard
+/// checkpoints; the command line rejects them without one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum ShardCli {
     /// No sharding flag: one in-process (possibly checkpointed) sweep.
@@ -940,90 +914,6 @@ pub enum ShardCli {
     Merge(Vec<PathBuf>),
 }
 
-/// Why a sharded sweep failed.
-#[derive(Debug)]
-pub enum ShardError {
-    /// The active mode needs a `--json` base path and none was given.
-    NeedsCheckpoint(&'static str),
-    /// The supervisor gave up on a shard.
-    Supervisor(SupervisorError),
-    /// The shard checkpoints could not be stitched into the full grid.
-    Merge(MergeError),
-    /// A filesystem operation on a checkpoint path failed.
-    Io {
-        /// The offending path.
-        path: PathBuf,
-        /// The OS error text.
-        message: String,
-    },
-    /// This shard worker finished, but some of its points failed
-    /// (simulation error or panic); they were not persisted, so a retry
-    /// or resume will re-run exactly them.
-    PointsFailed {
-        /// The shard that ran.
-        spec: ShardSpec,
-        /// Labels of the failed points.
-        labels: Vec<String>,
-    },
-    /// This shard worker finished its slice, but some points carry
-    /// *recorded* failures (e.g. `failed:timeout` checkpoint entries,
-    /// written now or served from a resume). The slice will not improve
-    /// by retrying — the worker should exit [`EXIT_RECORDED_FAILURES`]
-    /// so the supervisor accepts the shard as terminal.
-    RecordedFailures {
-        /// The shard that ran.
-        spec: ShardSpec,
-        /// Labels of the points with recorded failures.
-        labels: Vec<String>,
-    },
-    /// Post-flight verification failed: points this worker completed are
-    /// missing from (or damaged in) its own checkpoint file — a torn
-    /// write or an injected I/O fault swallowed them. Exiting non-zero
-    /// lets a supervisor retry resume, quarantine any damaged lines, and
-    /// re-run exactly these points.
-    Unpersisted {
-        /// The shard that ran.
-        spec: ShardSpec,
-        /// Labels of the unpersisted points.
-        labels: Vec<String>,
-    },
-}
-
-impl fmt::Display for ShardError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::NeedsCheckpoint(flag) => {
-                write!(f, "{flag} requires --json <path> (the sweep checkpoint base path)")
-            }
-            Self::Supervisor(e) => write!(f, "{e}"),
-            Self::Merge(e) => write!(f, "{e}"),
-            Self::Io { path, message } => write!(f, "{}: {message}", path.display()),
-            Self::PointsFailed { spec, labels } => write!(
-                f,
-                "shard {spec}: {} point(s) failed ({}); they were not persisted and will re-run on resume",
-                labels.len(),
-                preview(labels)
-            ),
-            Self::RecordedFailures { spec, labels } => write!(
-                f,
-                "shard {spec}: {} point(s) carry recorded failures ({}); the slice is complete \
-                 and a retry would not improve it",
-                labels.len(),
-                preview(labels)
-            ),
-            Self::Unpersisted { spec, labels } => write!(
-                f,
-                "shard {spec}: {} completed point(s) missing or damaged in its checkpoint ({}); \
-                 a resume will quarantine any damaged lines and re-run exactly them",
-                labels.len(),
-                preview(labels)
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ShardError {}
-
 fn expected_of<I>(items: &[(String, u64, I)]) -> Vec<(String, u64)> {
     items
         .iter()
@@ -1031,258 +921,250 @@ fn expected_of<I>(items: &[(String, u64, I)]) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Runs `items` under the mode `mode` selects:
+/// Runs `items` under `mode` in three fixed steps; the mode only
+/// chooses each step's inputs.
 ///
-/// * **merge** — stitch the named shard checkpoints into full-grid
-///   results; nothing is simulated. Returns `Some(results)`.
-/// * **shard** — run only this worker's strided slice, checkpointing to
-///   the [`shard_path`] derived from `opts.checkpoint`. Returns `None`
-///   (a worker has nothing to render); failed points surface as
-///   [`ShardError::PointsFailed`] so the process exits non-zero and a
-///   supervisor retry re-runs them.
-/// * **supervise** — spawn one `make_child(spec)` process per shard,
-///   retry crashed shards from their checkpoints, merge the shard files,
-///   and write the stitched entries back to the base path (leaving it
-///   exactly as a single-process run would have, modulo wall-clock).
-///   Returns `Some(results)`.
-/// * **single** — a plain (possibly checkpointed) in-process sweep.
-///   Returns `Some(results)`.
+/// * **Run** the points this process owns. `Single` owns the whole
+///   grid; `Shard(spec)` its [`shard_items_grouped`] slice,
+///   checkpointed to the [`shard_path`] of `opts.checkpoint`;
+///   `Supervise(n)` owns nothing in-process — it [`supervise`]s one
+///   `make_child(spec)` worker per shard, retrying crashed ones from
+///   their checkpoints; `Merge` owns nothing.
+/// * **Stitch** the points this process answers for from checkpoint
+///   lines with [`merge_shards`]: a worker its slice from its own file,
+///   the supervisor the grid from the shard files (then written back to
+///   the base path, leaving it as a single-process run would, modulo
+///   wall-clock), `Merge` the grid from the files it names. `Single`
+///   keeps its in-memory results.
+/// * **Exit** by one rule, after a summary of any failed points: `1`
+///   when a point is missing, stale, unpersisted or failed in execution,
+///   or the supervisor gave up; else [`EXIT_RECORDED_FAILURES`] when a
+///   point carries a recorded failure; else `0`.
 ///
-/// # Errors
+/// Returns the full-grid results in submission order, `None` for a
+/// worker (its shard file is its output), or `Err` with the non-zero
+/// code the process must exit with instead of rendering.
 ///
-/// Returns [`ShardError`] when the active mode lacks a checkpoint base
-/// path, the supervisor exhausts a shard's retries, the merge finds
-/// missing or stale points, or shard bookkeeping I/O fails.
-pub fn run_sharded<I, T, F, C>(
+/// # Panics
+///
+/// Panics if `Shard` or `Supervise` runs without `opts.checkpoint`.
+pub fn run_lifecycle<I, T, F, C>(
     items: Vec<(String, u64, I)>,
     mode: &ShardCli,
     opts: SweepOptions,
     make_child: C,
     f: F,
-) -> Result<Option<Vec<SweepResult<T>>>, ShardError>
+) -> Result<Option<Vec<SweepResult<T>>>, i32>
 where
     I: Send,
     T: ToJson + FromJson + Clone + Attributed + Send,
     F: Fn(I) -> Result<T, AccelError> + Sync,
     C: Fn(ShardSpec) -> Command + Sync,
 {
-    if let ShardCli::Merge(paths) = mode {
-        let expected = expected_of(&items);
-        let merged = merge_shards::<T>(&expected, paths).map_err(ShardError::Merge)?;
-        for (path, count) in &merged.quarantined {
-            if *count > 0 {
-                eprintln!(
-                    "merge: quarantined {count} damaged line(s) from {} (kept in its .bad sidecar)",
-                    path.display()
-                );
-            }
-        }
-        let failed = merged.failed_labels();
-        let note = if failed.is_empty() {
-            String::new()
-        } else {
-            format!(
-                " ({} recorded failure(s): {})",
-                failed.len(),
-                preview(&failed)
-            )
-        };
-        eprintln!(
-            "merge: stitched {} point(s) from {} shard checkpoint(s){note}",
-            merged.lines.len(),
-            paths.len()
-        );
-        return Ok(Some(
-            merged.lines.into_iter().map(SweepResult::from).collect(),
-        ));
-    }
-
-    if let &ShardCli::Shard(spec) = mode {
-        let base = opts
-            .checkpoint
+    let prune = opts.prune.is_some();
+    let base = || {
+        opts.checkpoint
             .clone()
-            .ok_or(ShardError::NeedsCheckpoint("--shard"))?;
-        let grid_total = items.len();
-        // Partition by slot so every follower's leader and (with pruning
-        // on) every member's basis run in this process.
-        let slice = shard_items_grouped(items, spec, opts.prune.as_ref());
-        let slice_len = slice.len();
-        let slice_expected = expected_of(&slice);
-        let shard_file = shard_path(&base, spec);
-        // Telemetry files shard alongside the checkpoint: the supervisor
-        // reads each child's heartbeat at the shard path of the base
-        // status path, and per-shard Prometheus files never collide.
-        let run_opts = SweepOptions {
-            checkpoint: Some(shard_file.clone()),
-            status: opts.status.as_ref().map(|p| shard_path(p, spec)),
-            prometheus: opts.prometheus.as_ref().map(|p| shard_path(p, spec)),
-            ..opts
-        };
-        let results = sweep_map_checkpointed(slice, run_opts, f);
-        let mut exec_failed = Vec::new();
-        let mut recorded = Vec::new();
-        for result in &results {
-            match &result.outcome {
-                Ok(_) => {}
-                Err(SweepError::Recorded(_)) => recorded.push(result.label.clone()),
-                Err(_) => exec_failed.push(result.label.clone()),
-            }
+            .expect("--shard and --shards require --json")
+    };
+    // Each arm yields the points this process answers for (`None` when
+    // they cannot be accounted for) and whether the caller renders them.
+    let (answered, render) = match mode {
+        ShardCli::Single => (Some(sweep_map_checkpointed(items, opts, f)), true),
+        &ShardCli::Shard(spec) => {
+            // Partition by slot so every follower's leader and (with
+            // pruning on) every member's basis run in this process.
+            let slice = shard_items_grouped(items, spec, opts.prune.as_ref());
+            let expected = expected_of(&slice);
+            let file = shard_path(&base(), spec);
+            // Telemetry files shard alongside the checkpoint: the
+            // supervisor reads each child's heartbeat at the shard path
+            // of the base status path, and per-shard Prometheus files
+            // never collide.
+            let run_opts = SweepOptions {
+                checkpoint: Some(file.clone()),
+                status: opts.status.as_ref().map(|p| shard_path(p, spec)),
+                prometheus: opts.prometheus.as_ref().map(|p| shard_path(p, spec)),
+                ..opts
+            };
+            // Only what reached the file counts: a line lost to a torn
+            // write or an I/O fault, or a point that failed, is missing
+            // from the stitch, so the worker exits non-zero and a
+            // supervisor retry re-runs exactly those points.
+            sweep_map_checkpointed(slice, run_opts, f);
+            let who = format!("shard {spec}");
+            (stitch::<T>(&who, &expected, &[file], None, false), false)
         }
-        eprintln!(
-            "shard {spec}: {}/{slice_len} point(s) complete (slice of grid {grid_total}) -> {}",
-            slice_len - exec_failed.len() - recorded.len(),
-            shard_file.display()
-        );
-        if !exec_failed.is_empty() {
-            return Err(ShardError::PointsFailed {
-                spec,
-                labels: exec_failed,
-            });
-        }
-        // Post-flight verification: re-load our own checkpoint and
-        // require every slice point to be covered by a decodable line.
-        // A line damaged on the way to disk (torn write, injected I/O
-        // fault) surfaces here as missing; exiting non-zero lets the
-        // supervisor retry resume, quarantine the damage, and re-run
-        // exactly the affected points.
-        let written = Checkpoint::<T>::load(&shard_file).map_err(|e| ShardError::Io {
-            path: shard_file.clone(),
-            message: e.to_string(),
-        })?;
-        let unpersisted: Vec<String> = slice_expected
-            .iter()
-            .filter(|(label, fingerprint)| {
-                written.lookup(label, *fingerprint).is_none()
-                    && written.lookup_failed(label, *fingerprint).is_none()
-            })
-            .map(|(label, _)| label.clone())
-            .collect();
-        if !unpersisted.is_empty() {
-            return Err(ShardError::Unpersisted {
-                spec,
-                labels: unpersisted,
-            });
-        }
-        if !recorded.is_empty() {
-            return Err(ShardError::RecordedFailures {
-                spec,
-                labels: recorded,
-            });
-        }
-        return Ok(None);
-    }
-
-    if let &ShardCli::Supervise(count) = mode {
-        let base = opts
-            .checkpoint
-            .clone()
-            .ok_or(ShardError::NeedsCheckpoint("--shards"))?;
-        let specs: Vec<ShardSpec> = (0..count).map(|index| ShardSpec { index, count }).collect();
-        if !opts.resume {
-            // A fresh supervised sweep must not resurrect earlier shard
-            // runs; workers are always spawned with --resume so that
-            // crash *retries* pick up mid-shard. Quarantine sidecars from
-            // earlier fleets go too, so `.bad` files always describe the
-            // current run.
-            for spec in &specs {
-                let path = shard_path(&base, *spec);
-                let sidecar = sidecar_of(&path);
-                if let Err(e) = std::fs::remove_file(&path) {
-                    if e.kind() != io::ErrorKind::NotFound {
-                        return Err(ShardError::Io {
-                            path,
-                            message: e.to_string(),
-                        });
+        &ShardCli::Supervise(count) => {
+            let base = base();
+            let specs: Vec<ShardSpec> =
+                (0..count).map(|index| ShardSpec { index, count }).collect();
+            let files: Vec<PathBuf> = specs.iter().map(|s| shard_path(&base, *s)).collect();
+            if !opts.resume {
+                // A fresh supervised sweep must not resurrect earlier
+                // shard runs; workers are always spawned with --resume so
+                // that crash *retries* pick up mid-shard. Quarantine
+                // sidecars from earlier fleets go too, so `.bad` files
+                // always describe the current run.
+                for path in &files {
+                    if let Err(e) = std::fs::remove_file(path) {
+                        if e.kind() != io::ErrorKind::NotFound {
+                            eprintln!("error: {}: {e}", path.display());
+                            return Err(settle::<T>(None));
+                        }
                     }
+                    let _ = std::fs::remove_file(sidecar_of(path));
                 }
-                let _ = std::fs::remove_file(sidecar);
             }
+            // Stale heartbeats from an earlier fleet (possibly with a
+            // different shard count) must not leak into this fleet's view.
+            if let Some(status) = &opts.status {
+                for spec in &specs {
+                    let _ = std::fs::remove_file(shard_path(status, *spec));
+                }
+            }
+            let retry_counts: Arc<Vec<AtomicU64>> =
+                Arc::new((0..count).map(|_| AtomicU64::new(0)).collect());
+            let staleness = opts.watchdog.unwrap_or(DEFAULT_STALENESS);
+            let monitor =
+                FleetMonitor::spawn(opts.status.clone(), &specs, &retry_counts, staleness);
+            let sup_opts = SupervisorOptions {
+                retry_counts: Some(Arc::clone(&retry_counts)),
+                watchdog: opts.watchdog,
+                status_base: opts.status.clone(),
+                ..SupervisorOptions::default()
+            };
+            let supervision = supervise(count, make_child, &sup_opts);
+            drop(monitor);
+            let total_retries: u64 = retry_counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+            opts.metrics.add(Counter::ShardRetries, total_retries);
+            let answered = match supervision {
+                Ok(outcomes) => {
+                    let retried = outcomes.iter().filter(|o| o.attempts > 1).count();
+                    let with_failures = outcomes
+                        .iter()
+                        .filter(|o| o.completed_with_failures)
+                        .count();
+                    let failure_note = if with_failures > 0 {
+                        format!(", {with_failures} with recorded failures")
+                    } else {
+                        String::new()
+                    };
+                    eprintln!(
+                        "supervisor: {count} shard(s) complete ({retried} retried{failure_note})"
+                    );
+                    let expected = expected_of(&items);
+                    stitch::<T>("supervisor", &expected, &files, Some(&base), prune)
+                }
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    None
+                }
+            };
+            let phase = if answered.is_some() { "done" } else { "failed" };
+            finalize_fleet(&opts, &specs, &retry_counts, phase);
+            (answered, true)
         }
-        // Stale heartbeats from an earlier fleet (possibly with a
-        // different shard count) must not leak into this fleet's view.
-        if let Some(status) = &opts.status {
-            for spec in &specs {
-                let _ = std::fs::remove_file(shard_path(status, *spec));
-            }
-        }
-        let retry_counts: Arc<Vec<AtomicU64>> =
-            Arc::new((0..count).map(|_| AtomicU64::new(0)).collect());
-        let staleness = opts.watchdog.unwrap_or(DEFAULT_STALENESS);
-        let monitor = FleetMonitor::spawn(opts.status.clone(), &specs, &retry_counts, staleness);
-        let sup_opts = SupervisorOptions {
-            retry_counts: Some(Arc::clone(&retry_counts)),
-            watchdog: opts.watchdog,
-            status_base: opts.status.clone(),
-            ..SupervisorOptions::default()
-        };
-        let supervision = supervise(count, make_child, &sup_opts);
-        drop(monitor);
-        let total_retries: u64 = retry_counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        opts.metrics.add(Counter::ShardRetries, total_retries);
-        let outcomes = match supervision {
-            Ok(outcomes) => outcomes,
-            Err(e) => {
-                finalize_fleet(&opts, &specs, &retry_counts, "failed");
-                return Err(ShardError::Supervisor(e));
-            }
-        };
-        let retried = outcomes.iter().filter(|o| o.attempts > 1).count();
-        let with_failures = outcomes
-            .iter()
-            .filter(|o| o.completed_with_failures)
-            .count();
-        let expected = expected_of(&items);
-        let shard_files: Vec<PathBuf> = specs.iter().map(|s| shard_path(&base, *s)).collect();
-        let merged = match merge_shards::<T>(&expected, &shard_files) {
-            Ok(merged) => merged,
-            Err(e) => {
-                finalize_fleet(&opts, &specs, &retry_counts, "failed");
-                return Err(ShardError::Merge(e));
-            }
-        };
-        for (path, quarantined) in &merged.quarantined {
-            if *quarantined > 0 {
-                eprintln!(
-                    "supervisor: quarantined {quarantined} damaged line(s) from {} \
-                     (kept in its .bad sidecar)",
-                    path.display()
-                );
-            }
-        }
-        write_entries(&base, &merged.lines).map_err(|e| ShardError::Io {
-            path: base.clone(),
-            message: e.to_string(),
-        })?;
-        finalize_fleet(&opts, &specs, &retry_counts, "done");
-        if opts.status.is_none() {
-            if let (Some(prom), Some(snapshot)) = (&opts.prometheus, opts.metrics.snapshot()) {
-                // Without heartbeats there is no fleet snapshot to merge;
-                // expose at least the supervisor's own registry.
-                let _ = write_prometheus(prom, &snapshot);
-            }
-        }
-        let failure_note = if with_failures > 0 {
-            format!(", {with_failures} with recorded failures")
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "supervisor: {count} shard(s) complete ({retried} retried{failure_note}); \
-             merged {} point(s) into {}",
-            merged.lines.len(),
-            base.display()
-        );
-        return Ok(Some(
-            merged.lines.into_iter().map(SweepResult::from).collect(),
-        ));
+        ShardCli::Merge(paths) => (
+            stitch::<T>("merge", &expected_of(&items), paths, None, prune),
+            true,
+        ),
+    };
+    match settle(answered.as_deref()) {
+        0 => Ok(answered.filter(|_| render)),
+        code => Err(code),
     }
+}
 
-    Ok(Some(sweep_map_checkpointed(items, opts, f)))
+/// The stitch step: one line per `expected` point, in that order, from
+/// the checkpoint `files` ([`merge_shards`] — quarantining damaged
+/// lines, rejecting missing or stale points and unbacked prune
+/// evidence), written to `out` when given ([`write_entries`]) and
+/// reported under `who`, with the across-shards prune summary when
+/// `prune` is set. `None`, after the reason, when the files cannot
+/// account for every point or the write fails.
+fn stitch<T: FromJson + ToJson>(
+    who: &str,
+    expected: &[(String, u64)],
+    files: &[PathBuf],
+    out: Option<&Path>,
+    prune: bool,
+) -> Option<Vec<SweepResult<T>>> {
+    let lines = match merge_shards::<T>(expected, files) {
+        Ok(lines) => lines,
+        Err(e) => {
+            eprintln!("error: {who}: {e}");
+            return None;
+        }
+    };
+    let into = match out {
+        Some(path) => match write_entries(path, &lines) {
+            Ok(()) => format!(" into {}", path.display()),
+            Err(e) => {
+                eprintln!("error: {who}: {}: {e}", path.display());
+                return None;
+            }
+        },
+        None => String::new(),
+    };
+    eprintln!(
+        "{who}: stitched {} point(s) from {} checkpoint(s){into}",
+        lines.len(),
+        files.len()
+    );
+    let results: Vec<SweepResult<T>> = lines.into_iter().map(SweepResult::from).collect();
+    if prune {
+        let s = summarize(&results);
+        eprintln!(
+            "sweep: pruned {}/{} point(s) across shards ({} simulated)",
+            s.pruned,
+            s.total(),
+            s.ran
+        );
+    }
+    Some(results)
+}
+
+/// The exit step: [`exit_code`] of the points this process answers for
+/// (`None` when they cannot be accounted for), after a summary of any
+/// that failed.
+fn settle<T>(answered: Option<&[SweepResult<T>]>) -> i32 {
+    let code = exit_code(Tally::of(answered));
+    let failed: Vec<&SweepResult<T>> = answered
+        .unwrap_or_default()
+        .iter()
+        .filter(|r| r.outcome.is_err())
+        .collect();
+    if failed.is_empty() {
+        return code;
+    }
+    // Recorded failures are on the books and a retry would only serve
+    // them again; failed executions were never persisted and re-run.
+    let (what, verdict) = if code == EXIT_RECORDED_FAILURES {
+        (
+            "recorded point failure(s)",
+            "grid is fully accounted for but incomplete",
+        )
+    } else {
+        (
+            "failed point(s)",
+            "failed executions are not persisted and re-run on resume",
+        )
+    };
+    eprintln!("sweep: finished with {} {what}:", failed.len());
+    for r in &failed {
+        if let Err(e) = &r.outcome {
+            eprintln!("  {}: {e}", r.label);
+        }
+    }
+    eprintln!("sweep: {verdict}; exiting {code}");
+    code
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepError;
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("gemmini_shard_{}_{name}", std::process::id()))
@@ -1556,9 +1438,8 @@ mod tests {
 
         let expected: Vec<(String, u64)> = (0..8).map(|i| (format!("p{i}"), i)).collect();
         let merged = merge_shards::<u64>(&expected, &[p0.clone(), p1.clone()]).unwrap();
-        assert_eq!(merged.total_quarantined(), 0);
+        assert!(!sidecar_of(&p0).exists() && !sidecar_of(&p1).exists());
         let entries: Vec<CheckpointEntry<u64>> = merged
-            .lines
             .into_iter()
             .map(|line| match line {
                 Line::Completed(entry) => entry,
@@ -1611,10 +1492,9 @@ mod tests {
 
         let expected = vec![("a".to_string(), 1u64), ("b".to_string(), 2u64)];
         let merged = merge_shards::<u64>(&expected, std::slice::from_ref(&path)).unwrap();
-        assert_eq!(merged.total_quarantined(), 1);
-        assert_eq!(merged.quarantined[0].1, 1);
-        assert_eq!(merged.failed_labels(), vec!["b".to_string()]);
-        match &merged.lines[1] {
+        let quarantined = || std::fs::read_to_string(sidecar_of(&path)).unwrap();
+        assert_eq!(quarantined().lines().count(), 1);
+        match &merged[1] {
             Line::Failed(f) => {
                 assert_eq!(f.reason, "timeout");
                 assert_eq!(f.wall, Duration::from_secs(5));
@@ -1622,17 +1502,139 @@ mod tests {
             other => panic!("expected a recorded failure, got {other:?}"),
         }
         // The recorded failure round-trips through the result shape.
-        let results: Vec<SweepResult<u64>> =
-            merged.lines.into_iter().map(SweepResult::from).collect();
+        let results: Vec<SweepResult<u64>> = merged.into_iter().map(SweepResult::from).collect();
         assert!(matches!(&results[1].outcome, Err(SweepError::Recorded(r)) if r == "timeout"));
         assert!(results[1].cached);
 
         // A second merge finds a clean file: the damage was quarantined
         // exactly once.
-        let again = merge_shards::<u64>(&expected, std::slice::from_ref(&path)).unwrap();
-        assert_eq!(again.total_quarantined(), 0);
+        merge_shards::<u64>(&expected, std::slice::from_ref(&path)).unwrap();
+        assert_eq!(quarantined().lines().count(), 1);
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(sidecar_of(&path)).unwrap();
+    }
+
+    /// The exit rule over everything a lifecycle can end with: results
+    /// a sweep holds in memory, and checkpoint files stitched the way a
+    /// worker, supervisor or merge stitches them.
+    #[test]
+    fn exit_rule_table() {
+        use crate::checkpoint::{CheckpointWriter, FailedEntry};
+        let result = |label: &str, outcome| SweepResult {
+            label: label.to_string(),
+            outcome,
+            wall: Duration::ZERO,
+            cached: false,
+            pruned: None,
+        };
+        let ok = |label| result(label, Ok(1u64));
+        let recorded = |label| result(label, Err(SweepError::Recorded("timeout".into())));
+        let panicked = |label| result(label, Err(SweepError::Panicked("boom".into())));
+        let accel = |label| result(label, Err(SweepError::Accel(AccelError::NoPreload)));
+        let entry = |label: &str, fingerprint| CheckpointEntry {
+            label: label.to_string(),
+            fingerprint,
+            wall: Duration::ZERO,
+            payload: 1u64,
+            pruned: None,
+        };
+        let expected = vec![("a".to_string(), 1u64), ("b".to_string(), 2u64)];
+        // Stitches `expected` from a file holding `entries` (plus, when
+        // `torn`, a line cut short the way a torn write leaves it).
+        let stitched = |name: &str, entries: &[CheckpointEntry<u64>], torn: bool| {
+            let path = temp_path(name);
+            let w = CheckpointWriter::create(&path).unwrap();
+            for e in entries {
+                w.append(e).unwrap();
+            }
+            drop(w);
+            if torn {
+                use std::io::Write as _;
+                let mut fh = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .unwrap();
+                writeln!(fh, "{{\"version\":2,\"label\":\"b").unwrap();
+            }
+            let answered =
+                stitch::<u64>("test", &expected, std::slice::from_ref(&path), None, false);
+            let _ = std::fs::remove_file(sidecar_of(&path));
+            std::fs::remove_file(&path).unwrap();
+            answered
+        };
+        let timed_out = temp_path("exit_recorded.jsonl");
+        let w = CheckpointWriter::create(&timed_out).unwrap();
+        w.append(&entry("a", 1)).unwrap();
+        w.append_failed(&FailedEntry {
+            label: "b".to_string(),
+            fingerprint: 2,
+            wall: Duration::from_secs(1),
+            reason: "timeout".to_string(),
+        })
+        .unwrap();
+        drop(w);
+        let served = stitch::<u64>(
+            "test",
+            &expected,
+            std::slice::from_ref(&timed_out),
+            None,
+            false,
+        );
+        std::fs::remove_file(&timed_out).unwrap();
+
+        let cases = [
+            ("all ok", Some(vec![ok("a"), ok("b")]), 0),
+            ("recorded only", Some(vec![ok("a"), recorded("b")]), 3),
+            ("recorded, stitched", served, 3),
+            ("exec failure", Some(vec![ok("a"), panicked("b")]), 1),
+            (
+                "exec failure plus recorded",
+                Some(vec![accel("a"), recorded("b")]),
+                1,
+            ),
+            (
+                "missing",
+                stitched("exit_missing.jsonl", &[entry("a", 1)], false),
+                1,
+            ),
+            (
+                "stale",
+                stitched("exit_stale.jsonl", &[entry("a", 1), entry("b", 99)], false),
+                1,
+            ),
+            (
+                "unpersisted",
+                stitched("exit_torn.jsonl", &[entry("a", 1)], true),
+                1,
+            ),
+            (
+                "stitched",
+                stitched("exit_ok.jsonl", &[entry("a", 1), entry("b", 2)], false),
+                0,
+            ),
+        ];
+        for (name, answered, code) in cases {
+            assert_eq!(settle(answered.as_deref()), code, "{name}");
+        }
+
+        // End to end in single mode: a point failing in execution is not
+        // persisted, so the run is retryable rather than terminal.
+        let items = vec![("a".to_string(), 1u64, 0u64), ("b".to_string(), 2, 1)];
+        let opts = SweepOptions {
+            threads: 1,
+            progress: false,
+            ..SweepOptions::default()
+        };
+        let failing = |i: u64| {
+            if i == 1 {
+                Err(AccelError::NoPreload)
+            } else {
+                Ok(i)
+            }
+        };
+        let unused = |_| Command::new("false");
+        let single = run_lifecycle(items, &ShardCli::Single, opts, unused, failing);
+        assert_eq!(single.err(), Some(1));
     }
 
     #[test]

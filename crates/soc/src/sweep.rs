@@ -73,6 +73,56 @@ pub const THREADS_ENV: &str = "GEMMINI_THREADS";
 /// from "try again".
 pub const EXIT_RECORDED_FAILURES: i32 = 3;
 
+/// How the points a finished sweep answers for stand: everything the
+/// exit rule ([`exit_code`]) reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tally {
+    /// Whether every point has a result. False when a point is missing,
+    /// stale or unpersisted, when the supervisor gave up, or when stitch
+    /// I/O failed.
+    pub(crate) accounted: bool,
+    /// Points that failed in execution ([`SweepError::Accel`] or
+    /// [`SweepError::Panicked`]); they are never persisted.
+    pub(crate) exec_failed: usize,
+    /// Points carrying a [`SweepError::Recorded`] failure.
+    pub(crate) recorded: usize,
+}
+
+impl Tally {
+    /// The tally of the points a sweep answers for: a result for each,
+    /// or `None` when they cannot be accounted for.
+    pub(crate) fn of<T>(answered: Option<&[SweepResult<T>]>) -> Self {
+        let mut tally = Tally {
+            accounted: answered.is_some(),
+            exec_failed: 0,
+            recorded: 0,
+        };
+        for r in answered.unwrap_or_default() {
+            match &r.outcome {
+                Ok(_) => {}
+                Err(SweepError::Recorded(_)) => tally.recorded += 1,
+                Err(_) => tally.exec_failed += 1,
+            }
+        }
+        tally
+    }
+}
+
+/// The exit rule of every sweep process: `1` (retryable — a resume or a
+/// supervisor retry re-runs exactly what is missing) when a point is
+/// unaccounted for or failed in execution; otherwise
+/// [`EXIT_RECORDED_FAILURES`] when a point carries a recorded failure;
+/// otherwise `0`.
+pub(crate) fn exit_code(tally: Tally) -> i32 {
+    if !tally.accounted || tally.exec_failed > 0 {
+        1
+    } else if tally.recorded > 0 {
+        EXIT_RECORDED_FAILURES
+    } else {
+        0
+    }
+}
+
 /// One named point of a design-space sweep: an SoC configuration, the
 /// networks to run on it (one per core), and the run options.
 #[derive(Debug, Clone)]
@@ -262,9 +312,8 @@ pub struct SweepOptions {
     /// Per-point wall-clock budget (`--point-timeout`). When a point
     /// exceeds it, the executor records a first-class `failed:timeout`
     /// checkpoint entry for it, abandons the wedged worker, lets every
-    /// other point drain, and exits the process non-zero —
-    /// [`EXIT_RECORDED_FAILURES`] when everything else completed, `1`
-    /// when it could not — with a terminal failure summary. On resume
+    /// other point drain, and exits the process non-zero by the sweep's
+    /// exit rule with a terminal failure summary. On resume
     /// the recorded failure is *served* (the point is not re-attempted),
     /// so a deterministic hang cannot wedge the sweep twice. `None` (the
     /// default) never times a point out.
@@ -354,6 +403,9 @@ struct Pulse {
     /// done yet, but costing no simulation, so the ETA leaves them out.
     pending: AtomicUsize,
     failed: AtomicUsize,
+    /// Of `failed`, points that failed in execution (the rest are
+    /// recorded failures).
+    exec_failed: AtomicUsize,
     wall_hist: Mutex<Log2Histogram>,
     last_beat: Mutex<Instant>,
     stop: AtomicBool,
@@ -420,6 +472,7 @@ impl Pulse {
             executed: AtomicUsize::new(0),
             pending: AtomicUsize::new(0),
             failed: AtomicUsize::new(failed),
+            exec_failed: AtomicUsize::new(0),
             wall_hist: Mutex::new(Log2Histogram::new()),
             last_beat: Mutex::new(Instant::now()),
             stop: AtomicBool::new(false),
@@ -462,9 +515,9 @@ impl Pulse {
     /// Monitor-thread tick: record a `failed:timeout` checkpoint entry
     /// for every in-flight point past its budget, and — once the only
     /// in-flight points left are timed-out ones, so no worker can make
-    /// progress — end the process with a terminal failure summary.
-    /// Exits [`EXIT_RECORDED_FAILURES`] when everything else in the grid
-    /// completed, `1` (retryable) when it could not.
+    /// progress — end the process with a terminal failure summary and
+    /// the code [`exit_code`] gives: the timed-out points are recorded
+    /// failures, the points not done are unaccounted for.
     fn check_timeouts(&self) {
         let Some(budget) = self.point_timeout else {
             return;
@@ -508,18 +561,22 @@ impl Pulse {
             return;
         }
         let done = self.done_total();
-        let complete = done + hung >= self.grid_total;
+        let code = exit_code(Tally {
+            accounted: done + hung >= self.grid_total,
+            exec_failed: self.exec_failed.load(Ordering::Relaxed),
+            recorded: hung,
+        });
+        let verdict = if code == EXIT_RECORDED_FAILURES {
+            "completed with recorded failures"
+        } else {
+            "incomplete; resume to finish"
+        };
         eprintln!(
-            "sweep: {hung} point(s) timed out; {done}/{} other points complete; exiting {}",
+            "sweep: {hung} point(s) timed out; {done}/{} other points complete; exiting {code} ({verdict})",
             self.grid_total,
-            if complete {
-                format!("{EXIT_RECORDED_FAILURES} (completed with recorded failures)")
-            } else {
-                "1 (incomplete; resume to finish)".to_string()
-            }
         );
         self.beat("done");
-        std::process::exit(if complete { EXIT_RECORDED_FAILURES } else { 1 });
+        std::process::exit(code);
     }
 
     fn done_total(&self) -> usize {
@@ -571,6 +628,7 @@ impl Pulse {
             self.metrics.inc(Counter::PointsCompleted);
         } else {
             self.failed.fetch_add(1, Ordering::Relaxed);
+            self.exec_failed.fetch_add(1, Ordering::Relaxed);
             self.metrics.inc(Counter::PointsFailed);
         }
         let simulated = self.executed.fetch_add(1, Ordering::Relaxed) + 1;
