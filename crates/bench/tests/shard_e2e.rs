@@ -12,8 +12,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use gemmini_mem::json::ToJson;
-use gemmini_soc::checkpoint::{debug_fingerprint, Checkpoint};
+use gemmini_mem::json::{FromJson, ToJson};
+use gemmini_soc::checkpoint::{debug_fingerprint, Checkpoint, Line, Serve};
 use gemmini_soc::run::SocReport;
 use gemmini_soc::sweep::merge_memory_stats;
 
@@ -43,6 +43,12 @@ fn run(bin: &str, args: &[&str], envs: &[(&str, &str)]) -> Output {
     cmd.output().expect("binary runs")
 }
 
+fn load<T: FromJson>(path: &Path) -> Checkpoint<T> {
+    Checkpoint::load_quarantining(path)
+        .expect("checkpoint loads")
+        .0
+}
+
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
@@ -67,11 +73,11 @@ fn assert_checkpoints_equal_modulo_wall_and_order(a: &Path, b: &Path) {
 }
 
 fn assert_checkpoints_equivalent(a: &Path, b: &Path, ordered: bool) {
-    let ca = Checkpoint::<SocReport>::load(a).expect("checkpoint a loads");
-    let cb = Checkpoint::<SocReport>::load(b).expect("checkpoint b loads");
+    let ca = load::<SocReport>(a);
+    let cb = load::<SocReport>(b);
     assert_eq!(ca.len(), cb.len(), "{} vs {}", a.display(), b.display());
-    let mut ea_sorted: Vec<_> = ca.entries().iter().collect();
-    let mut eb_sorted: Vec<_> = cb.entries().iter().collect();
+    let mut ea_sorted: Vec<_> = ca.entries().collect();
+    let mut eb_sorted: Vec<_> = cb.entries().collect();
     if !ordered {
         ea_sorted.sort_by_key(|e| &e.label);
         eb_sorted.sort_by_key(|e| &e.label);
@@ -92,8 +98,8 @@ fn assert_checkpoints_equivalent(a: &Path, b: &Path, ordered: bool) {
         );
     }
     // The exact-merge claim extends to the folded totals.
-    let ra = merge_memory_stats(ca.entries().iter().map(|e| &e.payload));
-    let rb = merge_memory_stats(cb.entries().iter().map(|e| &e.payload));
+    let ra = merge_memory_stats(ca.entries().map(|e| &e.payload));
+    let rb = merge_memory_stats(cb.entries().map(|e| &e.payload));
     assert_eq!(ra, rb, "merged MemoryRollup totals must be bit-identical");
 }
 
@@ -136,11 +142,11 @@ fn supervised_crash_retry_matches_single_process() {
 
     // The merged file matches the single-process checkpoint except for
     // wall-clock (u64 payloads here, so compare the raw JSON fields).
-    let ca = Checkpoint::<u64>::load(&single).unwrap();
-    let cb = Checkpoint::<u64>::load(&sharded).unwrap();
+    let ca = load::<u64>(&single);
+    let cb = load::<u64>(&sharded);
     assert_eq!(ca.len(), 8);
     assert_eq!(cb.len(), 8);
-    for (ea, eb) in ca.entries().iter().zip(cb.entries()) {
+    for (ea, eb) in ca.entries().zip(cb.entries()) {
         assert_eq!(
             (&ea.label, ea.fingerprint, ea.payload),
             (&eb.label, eb.fingerprint, eb.payload)
@@ -167,7 +173,7 @@ fn resume_progress_reports_true_grid_position() {
         &[],
     );
     assert!(!crashed.status.success(), "the abort failpoint must fire");
-    assert_eq!(Checkpoint::<u64>::load(&ckpt).unwrap().len(), 5);
+    assert_eq!(load::<u64>(&ckpt).len(), 5);
 
     // The resume serves 5 cached points and runs the remaining 3; its
     // progress lines must report whole-grid positions with cached
@@ -340,11 +346,11 @@ fn supervised_watchdog_kills_hung_shard_and_recovers() {
         stdout(&supervised),
         "rendered tables must be identical"
     );
-    let ca = Checkpoint::<u64>::load(&single).unwrap();
-    let cb = Checkpoint::<u64>::load(&sharded).unwrap();
+    let ca = load::<u64>(&single);
+    let cb = load::<u64>(&sharded);
     assert_eq!(ca.len(), 8);
     assert_eq!(cb.len(), 8);
-    for (ea, eb) in ca.entries().iter().zip(cb.entries()) {
+    for (ea, eb) in ca.entries().zip(cb.entries()) {
         assert_eq!(
             (&ea.label, ea.fingerprint, ea.payload),
             (&eb.label, eb.fingerprint, eb.payload)
@@ -384,12 +390,12 @@ fn point_timeout_records_failure_and_resume_serves_it() {
     );
     assert!(err.contains("exceeded --point-timeout"), "{err}");
     assert!(err.contains("recording failed:timeout"), "{err}");
-    let ck = Checkpoint::<u64>::load(&ckpt).unwrap();
+    let mut ck = load::<u64>(&ckpt);
     assert_eq!(ck.len(), 2, "two points persisted before the hang");
-    let failed = ck
-        .lookup_failed("point2", debug_fingerprint(&2u64))
-        .expect("the timeout must be on the books");
-    assert_eq!(failed.reason, "timeout");
+    match ck.serve("point2", debug_fingerprint(&2u64)) {
+        Serve::Line(Line::Failed(failed)) => assert_eq!(failed.reason, "timeout"),
+        other => panic!("the timeout must be on the books, got {other:?}"),
+    }
 
     // No fault schedule this time: the recorded failure alone must keep
     // the point from being re-attempted.
@@ -416,14 +422,34 @@ fn point_timeout_records_failure_and_resume_serves_it() {
     );
     assert!(err.contains("point2: recorded failure: timeout"), "{err}");
     assert!(err.contains("exiting 3"), "{err}");
-    let ck = Checkpoint::<u64>::load(&ckpt).unwrap();
+    let mut ck = load::<u64>(&ckpt);
     assert_eq!(ck.len(), 7, "every point but the timed-out one completed");
     assert!(
-        ck.lookup("point2", debug_fingerprint(&2u64)).is_none(),
+        matches!(
+            ck.serve("point2", debug_fingerprint(&2u64)),
+            Serve::Line(Line::Failed(_))
+        ),
         "the hung point must not be re-run"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A timeout with no checkpoint to record it in (no `--json`) is not a
+/// recorded failure: nothing is on the books, so a re-run would hang
+/// again. Two workers let every other point finish, so the grid is
+/// otherwise complete; the sweep must still exit 1 (retryable), not 3.
+#[test]
+fn unpersisted_timeout_is_not_a_recorded_failure() {
+    let wedged = run(
+        SMOKE,
+        &["--point-timeout", "1", "--faults", "sweep.point=hang@3"],
+        &[("GEMMINI_THREADS", "2")],
+    );
+    let err = stderr(&wedged);
+    assert_eq!(wedged.status.code(), Some(1), "{err}");
+    assert!(err.contains("exceeded --point-timeout"), "{err}");
+    assert!(!err.contains("exiting 3"), "{err}");
 }
 
 /// The chaos acceptance run: a supervised 2-shard quick fig8 sweep with
@@ -514,7 +540,7 @@ fn fig8_prune_survives_crash_resume_and_shards() {
         err.contains("sweep: pruned 24/32 point(s) via tlb-entries attribution"),
         "quick fig8 must prune 24 of 32 points: {err}"
     );
-    let entries = Checkpoint::<SocReport>::load(&pruned).unwrap();
+    let entries = load::<SocReport>(&pruned);
     assert_eq!(entries.len(), 32);
     for e in entries.entries() {
         if let Some(ev) = &e.pruned {
@@ -698,7 +724,7 @@ fn fig7_serves_equal_fingerprint_points_from_one_run() {
         ),
         "{err}"
     );
-    assert_eq!(Checkpoint::<SocReport>::load(&ckpt).unwrap().len(), 8);
+    assert_eq!(load::<SocReport>(&ckpt).len(), 8);
 
     let resumed = run(FIG7, &["--quick", "--json", ckpt_arg, "--resume"], &[]);
     assert!(stderr(&resumed).contains("skipped 8/8 completed points"));

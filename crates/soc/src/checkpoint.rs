@@ -1,15 +1,25 @@
-//! Sweep checkpoint persistence: newline-delimited JSON, one completed
+//! Sweep checkpoint persistence: newline-delimited JSON, one settled
 //! point per line.
 //!
 //! The figure sweeps (Figs. 7–9) are grids of full-SoC simulations; a
 //! killed or extended sweep should not pay for points it already
-//! finished. This module persists every completed [`SweepResult`] as one
+//! finished. This module persists every settled [`SweepResult`] as one
 //! JSON line — label, a fingerprint of the design point, wall-clock, and
 //! the full payload — flushed as the point completes, so an interrupted
-//! sweep loses at most the points that were in flight. On resume the
-//! loader keeps the last entry per label, and a point is skipped only
-//! when both its label *and* fingerprint match, so edited design points
-//! (or a changed payload schema) re-run instead of serving stale data.
+//! sweep loses at most the points that were in flight.
+//!
+//! One rule says what a file holds for a grid point: **the last
+//! decodable line for a label answers it, if its fingerprint matches**
+//! ([`Checkpoint::serve`]). A last line with another fingerprint makes
+//! the point *stale*, so edited design points (or a changed payload
+//! schema) re-run instead of serving stale data; no line makes it
+//! *missing*. Resume and shard merge ask that one question.
+//!
+//! [`Checkpoint::load_quarantining`] is the one loader. In a single
+//! temp-file-and-rename rewrite it moves undecodable lines to a `.bad`
+//! sidecar and drops lines a later line for the same label shadows, so
+//! damage is reported exactly once and repeated resume cycles cannot
+//! grow the file. A resumed sweep runs it once more when it finishes.
 //!
 //! The same files double as the figure binaries' `--json` output and as
 //! the shard inputs for multi-host sweeps: merging N shards is "load N
@@ -26,10 +36,7 @@
 //! re-closed with `}`), so any byte-level damage — a torn write, a bad
 //! sector, a flipped digit that would otherwise still parse — is
 //! detected on load. Version-1 lines (no crc) still decode, so files
-//! written before the bump resume unchanged; a damaged line is
-//! *quarantined* by [`Checkpoint::load_quarantining`] into a `.bad`
-//! sidecar next to the file instead of aborting the resume, and the
-//! point it named simply re-runs.
+//! written before the bump resume unchanged.
 //!
 //! A point skipped by attribution-guided pruning ([`crate::prune`])
 //! persists the same shape plus a `"pruned"` object naming its evidence
@@ -43,6 +50,7 @@
 //!
 //! [`SweepResult`]: crate::sweep::SweepResult
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -198,22 +206,6 @@ pub struct FailedEntry {
     pub reason: String,
 }
 
-impl FailedEntry {
-    /// Encodes the entry as one JSON line (no trailing newline).
-    pub fn encode(&self) -> String {
-        seal_with_crc(
-            Json::obj([
-                ("v", Json::from(FORMAT_VERSION)),
-                ("label", Json::from(self.label.clone())),
-                ("fingerprint", Json::from(self.fingerprint)),
-                ("wall_nanos", Json::from(self.wall.as_nanos() as u64)),
-                ("failed", Json::from(self.reason.clone())),
-            ])
-            .encode(),
-        )
-    }
-}
-
 /// One decoded checkpoint line: a completed (or pruned-predicted) point,
 /// or a recorded failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,16 +225,41 @@ impl<T> Line<T> {
         }
     }
 
-    /// Encodes the line back to its JSON text.
-    pub fn encode(&self) -> String
-    where
-        T: ToJson,
-    {
+    /// The entry's fingerprint, whichever kind it is.
+    pub fn fingerprint(&self) -> u64 {
         match self {
-            Self::Completed(e) => e.encode(),
-            Self::Failed(e) => e.encode(),
+            Self::Completed(e) => e.fingerprint,
+            Self::Failed(e) => e.fingerprint,
         }
     }
+}
+
+/// The one line encoder: the version-2 envelope (`v`, `label`,
+/// `fingerprint`, `wall_nanos`), then a completed point's `payload` and
+/// any `pruned` evidence (`Ok`) or a recorded failure's `failed` reason
+/// (`Err`), sealed with the trailing `crc32`. No trailing newline.
+fn encode(
+    label: &str,
+    fingerprint: u64,
+    wall: Duration,
+    outcome: Result<(&dyn ToJson, Option<&PruneEvidence>), &str>,
+) -> String {
+    let mut fields = vec![
+        ("v", Json::from(FORMAT_VERSION)),
+        ("label", Json::from(label)),
+        ("fingerprint", Json::from(fingerprint)),
+        ("wall_nanos", Json::from(wall.as_nanos() as u64)),
+    ];
+    match outcome {
+        Ok((payload, pruned)) => {
+            fields.push(("payload", payload.to_json()));
+            if let Some(evidence) = pruned {
+                fields.push(("pruned", evidence.to_json()));
+            }
+        }
+        Err(reason) => fields.push(("failed", Json::from(reason))),
+    }
+    seal_with_crc(Json::obj(fields).encode())
 }
 
 /// Decodes one checkpoint line of either kind, verifying the CRC on
@@ -299,61 +316,36 @@ pub fn decode_line<T: FromJson>(line: &str) -> Result<Line<T>, JsonError> {
     }))
 }
 
-impl<T: ToJson> CheckpointEntry<T> {
-    /// Encodes the entry as one JSON line (no trailing newline), sealed
-    /// with its CRC as the trailing field.
-    pub fn encode(&self) -> String {
-        let mut fields = vec![
-            ("v", Json::from(FORMAT_VERSION)),
-            ("label", Json::from(self.label.clone())),
-            ("fingerprint", Json::from(self.fingerprint)),
-            ("wall_nanos", Json::from(self.wall.as_nanos() as u64)),
-            ("payload", self.payload.to_json()),
-        ];
-        if let Some(evidence) = &self.pruned {
-            fields.push(("pruned", evidence.to_json()));
-        }
-        seal_with_crc(Json::obj(fields).encode())
-    }
+/// What a checkpoint holds for one grid point (see [`Checkpoint::serve`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Serve<T> {
+    /// The label's last line, whose fingerprint matches: it answers the
+    /// point.
+    Line(Line<T>),
+    /// The label's last line carries another fingerprint: the point must
+    /// run again.
+    Stale,
+    /// No line names the label.
+    Missing,
 }
 
-impl<T: FromJson> CheckpointEntry<T> {
-    /// Decodes one *completed* checkpoint line (see [`decode_line`] for
-    /// the kind-aware decoder).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on malformed JSON, an unknown format
-    /// version, a CRC mismatch, a failed-entry line, or a payload that
-    /// no longer matches `T`'s schema.
-    pub fn decode(line: &str) -> Result<Self, JsonError> {
-        match decode_line(line)? {
-            Line::Completed(entry) => Ok(entry),
-            Line::Failed(e) => Err(JsonError::new(format!(
-                "line records a failure ({}) and has no payload",
-                e.reason
-            ))),
-        }
-    }
-}
-
-/// An in-memory view of a checkpoint file, ready for resume lookups.
+/// An in-memory view of a checkpoint file: the last decodable line of
+/// every label, in file order.
 #[derive(Debug, Clone)]
 pub struct Checkpoint<T> {
-    entries: Vec<CheckpointEntry<T>>,
-    failed: Vec<FailedEntry>,
-    /// Lines that failed to decode (truncated in-flight write at kill
-    /// time, byte-level damage caught by the CRC, or a schema change);
-    /// the points they named simply re-run.
-    pub stale_lines: usize,
+    /// Decoded lines in file order; `None` where a later line for the
+    /// same label shadows the line, or where [`serve`](Self::serve)
+    /// handed it out.
+    lines: Vec<Option<Line<T>>>,
+    /// Each label's last line: its index in `lines`.
+    last: HashMap<String, usize>,
 }
 
 impl<T> Default for Checkpoint<T> {
     fn default() -> Self {
         Self {
-            entries: Vec::new(),
-            failed: Vec::new(),
-            stale_lines: 0,
+            lines: Vec::new(),
+            last: HashMap::new(),
         }
     }
 }
@@ -369,43 +361,14 @@ pub struct Quarantine {
 }
 
 impl<T: FromJson> Checkpoint<T> {
-    /// Loads a checkpoint file. A missing file is an empty checkpoint;
-    /// undecodable lines are counted in `stale_lines` and skipped (their
-    /// points re-run — the safe direction). When a label appears more
-    /// than once (a re-run appended over a stale entry), the last
-    /// occurrence wins.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error for anything other than a
-    /// missing file.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let text = match read_lossy(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
-        let mut checkpoint = Self::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match decode_line(line) {
-                Ok(Line::Completed(entry)) => checkpoint.entries.push(entry),
-                Ok(Line::Failed(entry)) => checkpoint.failed.push(entry),
-                Err(_) => checkpoint.stale_lines += 1,
-            }
-        }
-        Ok(checkpoint)
-    }
-
-    /// Loads a checkpoint file, *quarantining* undecodable lines instead
-    /// of merely skipping them: every damaged line is appended to a
-    /// `<file>.bad` sidecar next to the checkpoint and the checkpoint is
-    /// atomically rewritten without them, so a damaged line is reported
-    /// exactly once across resume cycles and the file converges back to
-    /// fully valid. The returned checkpoint has `stale_lines == 0`; the
-    /// damage is reported through [`Quarantine`] instead.
+    /// Loads a checkpoint file — the one loader. A missing file is an
+    /// empty checkpoint. Every undecodable line (a torn write, damage
+    /// the CRC catches, a changed payload schema) is appended to a
+    /// `<file>.bad` sidecar, and every line a later line for the same
+    /// label shadows is dropped: the file is rewritten without both
+    /// through a temp file and an atomic rename, so damage is reported
+    /// exactly once across resume cycles and the file converges to one
+    /// valid line per label. A file with neither is left untouched.
     ///
     /// # Errors
     ///
@@ -420,25 +383,20 @@ impl<T: FromJson> Checkpoint<T> {
             Err(e) => return Err(e),
         };
         let mut checkpoint = Self::default();
-        let mut good: Vec<&str> = Vec::new();
+        // The text of every decoded line, parallel to `checkpoint.lines`.
+        let mut raw: Vec<&str> = Vec::new();
         let mut bad: Vec<&str> = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
             match decode_line(line) {
-                Ok(Line::Completed(entry)) => {
-                    checkpoint.entries.push(entry);
-                    good.push(line);
-                }
-                Ok(Line::Failed(entry)) => {
-                    checkpoint.failed.push(entry);
-                    good.push(line);
+                Ok(decoded) => {
+                    checkpoint.push(decoded);
+                    raw.push(line);
                 }
                 Err(_) => bad.push(line),
             }
         }
-        if bad.is_empty() {
+        let shadowed = checkpoint.lines.len() - checkpoint.last.len();
+        if bad.is_empty() && shadowed == 0 {
             return Ok((checkpoint, Quarantine::default()));
         }
 
@@ -446,8 +404,9 @@ impl<T: FromJson> Checkpoint<T> {
             .file_name()
             .and_then(|n| n.to_str())
             .unwrap_or("checkpoint.jsonl");
-        let sidecar = path.with_file_name(format!("{file_name}.bad"));
-        {
+        let mut quarantine = Quarantine::default();
+        if !bad.is_empty() {
+            let sidecar = path.with_file_name(format!("{file_name}.bad"));
             let mut out = BufWriter::new(
                 OpenOptions::new()
                     .create(true)
@@ -458,209 +417,102 @@ impl<T: FromJson> Checkpoint<T> {
                 writeln!(out, "{line}")?;
             }
             out.flush()?;
+            quarantine = Quarantine {
+                lines: bad.len(),
+                sidecar: Some(sidecar),
+            };
         }
-        // Rewrite the checkpoint without the damaged lines (temp file +
-        // atomic rename, same discipline as `compact`), so the next load
-        // does not quarantine them again.
-        let tmp: PathBuf =
-            path.with_file_name(format!(".{file_name}.quarantine-{}", std::process::id()));
+        // The one rewrite: the surviving lines into a temp file in the
+        // same directory, renamed over the original, so a crash midway
+        // never loses the checkpoint.
+        let tmp = path.with_file_name(format!(".{file_name}.rewrite-{}", std::process::id()));
         {
             let mut out = BufWriter::new(File::create(&tmp)?);
-            for line in &good {
-                writeln!(out, "{line}")?;
+            for (line, kept) in raw.iter().zip(&checkpoint.lines) {
+                if kept.is_some() {
+                    writeln!(out, "{line}")?;
+                }
             }
             out.flush()?;
         }
         std::fs::rename(&tmp, path)?;
-        eprintln!(
-            "checkpoint: quarantined {} damaged line(s) from {} to {}",
-            bad.len(),
-            path.display(),
-            sidecar.display()
-        );
-        Ok((
-            checkpoint,
-            Quarantine {
-                lines: bad.len(),
-                sidecar: Some(sidecar),
-            },
-        ))
+        if let Some(sidecar) = &quarantine.sidecar {
+            eprintln!(
+                "checkpoint: quarantined {} damaged line(s) from {} to {}",
+                quarantine.lines,
+                path.display(),
+                sidecar.display()
+            );
+        }
+        Ok((checkpoint, quarantine))
     }
 }
 
 /// Reads a checkpoint file as text, substituting U+FFFD for any invalid
 /// UTF-8 byte sequence. Byte-level corruption must surface as
-/// undecodable *lines* (skippable or quarantinable) rather than an I/O
-/// error that aborts the whole load — a CRC-sealed line never contains a
+/// undecodable *lines* (quarantinable) rather than an I/O error that
+/// aborts the whole load — a CRC-sealed line never contains a
 /// replacement character, so intact lines are unaffected.
 fn read_lossy(path: &Path) -> io::Result<String> {
     std::fs::read(path).map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
 }
 
 impl<T> Checkpoint<T> {
-    /// The completed entry for `label`, if present with a matching
-    /// fingerprint (later entries shadow earlier ones).
-    pub fn lookup(&self, label: &str, fingerprint: u64) -> Option<&CheckpointEntry<T>> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| e.label == label)
-            .filter(|e| e.fingerprint == fingerprint)
+    /// Appends a line after every held one; it shadows any earlier line
+    /// with its label.
+    fn push(&mut self, line: Line<T>) {
+        let idx = self.lines.len();
+        if let Some(shadowed) = self.last.insert(line.label().to_string(), idx) {
+            self.lines[shadowed] = None;
+        }
+        self.lines.push(Some(line));
     }
 
-    /// Removes and returns the entry [`lookup`](Self::lookup) would have
-    /// found, handing the payload over without a clone.
-    pub fn take(&mut self, label: &str, fingerprint: u64) -> Option<CheckpointEntry<T>> {
-        let idx = self.entries.iter().rposition(|e| e.label == label)?;
-        if self.entries[idx].fingerprint == fingerprint {
-            Some(self.entries.remove(idx))
-        } else {
-            None
+    /// The one serve rule: the last line for `label` answers the point
+    /// when its fingerprint matches, and is handed over without a
+    /// clone; a last line with another fingerprint makes the point
+    /// [`Serve::Stale`], and no line [`Serve::Missing`]. Each line is
+    /// served at most once.
+    pub fn serve(&mut self, label: &str, fingerprint: u64) -> Serve<T> {
+        match self.last.get(label).and_then(|&idx| self.lines[idx].take()) {
+            None => Serve::Missing,
+            Some(line) if line.fingerprint() == fingerprint => Serve::Line(line),
+            Some(_) => Serve::Stale,
         }
     }
 
-    /// Number of decoded entries (including shadowed duplicates).
+    /// Number of completed entries held (recorded failures excluded).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().count()
     }
 
-    /// Whether the checkpoint holds no decoded entries.
+    /// Whether the checkpoint holds no completed entry.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// All decoded entries, in file order.
-    pub fn entries(&self) -> &[CheckpointEntry<T>] {
-        &self.entries
+    /// The completed entries held, in file order.
+    pub fn entries(&self) -> impl Iterator<Item = &CheckpointEntry<T>> {
+        self.lines.iter().flatten().filter_map(|line| match line {
+            Line::Completed(entry) => Some(entry),
+            Line::Failed(_) => None,
+        })
     }
 
-    /// The recorded failure for `label`, if present with a matching
-    /// fingerprint (later entries shadow earlier ones).
-    pub fn lookup_failed(&self, label: &str, fingerprint: u64) -> Option<&FailedEntry> {
-        self.failed
-            .iter()
-            .rev()
-            .find(|e| e.label == label)
-            .filter(|e| e.fingerprint == fingerprint)
-    }
-
-    /// Removes and returns the failure
-    /// [`lookup_failed`](Self::lookup_failed) would have found.
-    ///
-    /// A point that both failed *and* later completed (a successful
-    /// retry appended after a recorded timeout) is served from
-    /// [`take`](Self::take) — callers must try that first, which is why
-    /// this lookup ignores the completed entries.
-    pub fn take_failed(&mut self, label: &str, fingerprint: u64) -> Option<FailedEntry> {
-        let idx = self.failed.iter().rposition(|e| e.label == label)?;
-        if self.failed[idx].fingerprint == fingerprint {
-            Some(self.failed.remove(idx))
-        } else {
-            None
-        }
-    }
-
-    /// All recorded failures, in file order.
-    pub fn failed(&self) -> &[FailedEntry] {
-        &self.failed
-    }
-
-    /// Appends another checkpoint's entries after this one's — the
+    /// Appends another checkpoint's lines after this one's — the
     /// multi-shard combine: the result behaves as if `other`'s file had
     /// been concatenated onto ours, so on label conflicts the absorbed
-    /// entries win (they are later).
+    /// lines win (they are later).
     pub fn absorb(&mut self, other: Checkpoint<T>) {
-        self.entries.extend(other.entries);
-        self.failed.extend(other.failed);
-        self.stale_lines += other.stale_lines;
-    }
-}
-
-/// Outcome of a [`compact`] pass over a checkpoint file.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Compaction {
-    /// Lines kept: the last occurrence of every label, plus any
-    /// undecodable lines left for the quarantining loader.
-    pub kept: usize,
-    /// Lines reclaimed: shadowed re-runs.
-    pub dropped: usize,
-}
-
-/// Rewrites a checkpoint file keeping only the last line per label,
-/// dropping shadowed re-run entries. Repeated resume cycles append
-/// re-run entries over stale ones, so without this the file grows
-/// without bound; the sweep executor compacts on every successful
-/// resumed completion.
-///
-/// Lines with no parseable `label` — torn or corrupted fragments — are
-/// *kept*, not reclaimed: damage must surface exactly once through
-/// [`Checkpoint::load_quarantining`] (message, `.bad` sidecar, and a
-/// re-run of the lost point), never be silently swallowed by a
-/// maintenance pass.
-///
-/// Works at the JSON-line level (only the `label` field is inspected, so
-/// the payload schema is irrelevant), writes survivors to a temporary
-/// file in the same directory and atomically renames it over the
-/// original — a crash mid-compaction never loses the checkpoint. When
-/// nothing would be dropped the file is left untouched. A missing file
-/// compacts to nothing.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error from reading, writing the temporary
-/// file, or the rename.
-pub fn compact(path: &Path) -> io::Result<Compaction> {
-    let text = match read_lossy(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Compaction::default()),
-        Err(e) => return Err(e),
-    };
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let mut last_for_label: std::collections::HashMap<String, usize> =
-        std::collections::HashMap::new();
-    let mut unlabeled: Vec<usize> = Vec::new();
-    for (idx, line) in lines.iter().enumerate() {
-        let label = Json::parse(line).ok().and_then(|v| {
-            v.field("label")
-                .ok()
-                .and_then(|l| l.as_str().ok().map(String::from))
-        });
-        match label {
-            Some(label) => {
-                last_for_label.insert(label, idx);
-            }
-            None => unlabeled.push(idx),
+        for line in other.lines.into_iter().flatten() {
+            self.push(line);
         }
     }
-    let mut keep: std::collections::HashSet<usize> = last_for_label.into_values().collect();
-    keep.extend(unlabeled);
-    let kept = keep.len();
-    let dropped = lines.len() - kept;
-    if dropped == 0 {
-        return Ok(Compaction { kept, dropped });
-    }
-
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("checkpoint.jsonl");
-    let tmp: PathBuf = path.with_file_name(format!(".{file_name}.compact-{}", std::process::id()));
-    {
-        let mut out = BufWriter::new(File::create(&tmp)?);
-        for (idx, line) in lines.iter().enumerate() {
-            if keep.contains(&idx) {
-                writeln!(out, "{line}")?;
-            }
-        }
-        out.flush()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(Compaction { kept, dropped })
 }
 
 /// An append-only, line-buffered checkpoint writer shared across sweep
-/// workers. Every [`append`](Self::append) writes one full line and
-/// flushes, so a kill between points loses nothing already completed.
+/// workers. Every append writes one full line and flushes, so a kill
+/// between points loses nothing already completed.
 #[derive(Debug)]
 pub struct CheckpointWriter {
     file: Mutex<BufWriter<File>>,
@@ -704,7 +556,26 @@ impl CheckpointWriter {
         })
     }
 
-    /// Appends one entry as a flushed JSON line.
+    /// Appends one completed entry as a flushed JSON line.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error.
+    pub fn append<T: ToJson>(&self, entry: &CheckpointEntry<T>) -> io::Result<()> {
+        self.record(
+            &entry.label,
+            entry.fingerprint,
+            entry.wall,
+            Ok((&entry.payload, entry.pruned.as_ref())),
+        )
+    }
+
+    /// Appends one point as a flushed JSON line: `Ok((payload, prune
+    /// evidence))` for a completed point, `Err(reason)` for a recorded
+    /// failure. Carries the two checkpoint failpoints:
+    /// `checkpoint.flush` (fail the write with an injected I/O error)
+    /// and `checkpoint.corrupt` (truncate the encoded line to two thirds
+    /// before writing — a torn write the CRC must catch on load).
     ///
     /// # Errors
     ///
@@ -715,27 +586,17 @@ impl CheckpointWriter {
     /// Panics if a previous writer thread panicked while holding the
     /// file lock (the sweep executor catches per-point panics before
     /// they can reach the writer, so this is unreachable in practice).
-    pub fn append<T: ToJson>(&self, entry: &CheckpointEntry<T>) -> io::Result<()> {
-        self.append_line(entry.encode())
-    }
-
-    /// Appends one recorded failure as a flushed JSON line.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn append_failed(&self, entry: &FailedEntry) -> io::Result<()> {
-        self.append_line(entry.encode())
-    }
-
-    /// The shared append path, carrying the two checkpoint failpoints:
-    /// `checkpoint.flush` (fail the write with an injected I/O error)
-    /// and `checkpoint.corrupt` (truncate the encoded line to two thirds
-    /// before writing — a torn write the CRC must catch on load).
-    fn append_line(&self, mut line: String) -> io::Result<()> {
+    pub fn record(
+        &self,
+        label: &str,
+        fingerprint: u64,
+        wall: Duration,
+        outcome: Result<(&dyn ToJson, Option<&PruneEvidence>), &str>,
+    ) -> io::Result<()> {
         if let Some(e) = crate::fault::fail_io("checkpoint.flush") {
             return Err(e);
         }
+        let mut line = encode(label, fingerprint, wall, outcome);
         if crate::fault::fire("checkpoint.corrupt") == Some(crate::fault::FaultAction::Corrupt) {
             line.truncate(line.len() * 2 / 3);
         }
@@ -759,68 +620,133 @@ mod tests {
         }
     }
 
+    /// The line [`CheckpointWriter::append`] writes for `e`.
+    fn line_of(e: &CheckpointEntry<u64>) -> String {
+        encode(
+            &e.label,
+            e.fingerprint,
+            e.wall,
+            Ok((&e.payload, e.pruned.as_ref())),
+        )
+    }
+
+    fn completed(line: &str) -> CheckpointEntry<u64> {
+        match decode_line(line).unwrap() {
+            Line::Completed(e) => e,
+            Line::Failed(f) => panic!("'{}' decoded as a recorded failure", f.label),
+        }
+    }
+
+    fn evidence() -> PruneEvidence {
+        use gemmini_mem::stats::{CycleBucket, SweepAxis};
+        PruneEvidence {
+            basis_label: "p".to_string(),
+            basis_fingerprint: 7,
+            axis: SweepAxis::TlbEntries,
+            dominant: CycleBucket::Compute,
+            dominance: 0.8,
+            movable_fraction: 0.03,
+            tolerance: 0.05,
+        }
+    }
+
+    /// The payload served for `label`, panicking on anything else.
+    fn served(ckpt: &mut Checkpoint<u64>, label: &str, fingerprint: u64) -> u64 {
+        match ckpt.serve(label, fingerprint) {
+            Serve::Line(Line::Completed(e)) => e.payload,
+            other => panic!("expected a completed line for '{label}', got {other:?}"),
+        }
+    }
+
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("gemmini_ckpt_{}_{name}.jsonl", std::process::id()))
+    }
+
+    /// The encoder's bytes for each line kind are pinned: existing files
+    /// and the digests computed over them depend on them.
+    #[test]
+    fn line_encoding_is_pinned() {
+        let pruned = CheckpointEntry {
+            wall: Duration::ZERO,
+            pruned: Some(evidence()),
+            ..entry("q", 8, 9)
+        };
+        let cases = [
+            (
+                line_of(&CheckpointEntry {
+                    wall: Duration::from_micros(512),
+                    ..entry("private=4 shared=0", 0xDEAD_BEEF, 42)
+                }),
+                r#"{"v":2,"label":"private=4 shared=0","fingerprint":3735928559,"wall_nanos":512000,"payload":42,"crc32":2173803106}"#,
+            ),
+            (
+                line_of(&pruned),
+                r#"{"v":2,"label":"q","fingerprint":8,"wall_nanos":0,"payload":9,"pruned":{"basis_label":"p","basis_fingerprint":7,"axis":"tlb-entries","dominant":"compute","dominance":0.8,"movable_fraction":0.03,"tolerance":0.05},"crc32":2277478094}"#,
+            ),
+            (
+                encode(
+                    "slow point",
+                    0xABCD,
+                    Duration::from_secs(30),
+                    Err("timeout"),
+                ),
+                r#"{"v":2,"label":"slow point","fingerprint":43981,"wall_nanos":30000000000,"failed":"timeout","crc32":3301062067}"#,
+            ),
+        ];
+        for (encoded, pinned) in cases {
+            assert_eq!(encoded, pinned);
+        }
     }
 
     #[test]
     fn entry_round_trips() {
         let e = entry("private=4 shared=0", 0xDEAD_BEEF, 42);
-        let line = e.encode();
+        let line = line_of(&e);
         assert!(!line.contains('\n'), "entries must be single lines");
-        assert_eq!(CheckpointEntry::<u64>::decode(&line).unwrap(), e);
+        assert_eq!(completed(&line), e);
     }
 
     #[test]
     fn pruned_entry_round_trips_and_plain_lines_stay_plain() {
-        use gemmini_mem::stats::{CycleBucket, SweepAxis};
         // A run entry encodes without a "pruned" field, so pre-prune
         // version-1 files and fresh run lines are byte-compatible.
         let plain = entry("p", 7, 9);
-        assert!(!plain.encode().contains("pruned"));
+        assert!(!line_of(&plain).contains("pruned"));
         let pruned = CheckpointEntry {
-            pruned: Some(PruneEvidence {
-                basis_label: "p".to_string(),
-                basis_fingerprint: 7,
-                axis: SweepAxis::TlbEntries,
-                dominant: CycleBucket::Compute,
-                dominance: 0.8,
-                movable_fraction: 0.03,
-                tolerance: 0.05,
-            }),
+            pruned: Some(evidence()),
             ..entry("q", 8, 9)
         };
-        let line = pruned.encode();
+        let line = line_of(&pruned);
         assert!(line.contains("\"pruned\""));
-        assert_eq!(CheckpointEntry::<u64>::decode(&line).unwrap(), pruned);
+        assert_eq!(completed(&line), pruned);
     }
 
     #[test]
     fn unknown_version_is_rejected() {
         let line = r#"{"v":99,"label":"x","fingerprint":1,"wall_nanos":0,"payload":0}"#;
-        assert!(CheckpointEntry::<u64>::decode(line).is_err());
+        assert!(decode_line::<u64>(line).is_err());
     }
 
     #[test]
     fn version_1_lines_without_crc_still_decode() {
         let line = r#"{"v":1,"label":"legacy","fingerprint":7,"wall_nanos":100,"payload":9}"#;
-        let e = CheckpointEntry::<u64>::decode(line).unwrap();
+        let e = completed(line);
         assert_eq!(e.label, "legacy");
         assert_eq!(e.payload, 9);
     }
 
     #[test]
     fn crc_detects_a_flipped_byte() {
-        let line = entry("x", 1, 42).encode();
+        let line = line_of(&entry("x", 1, 42));
         assert!(line.contains("\"crc32\":"), "v2 lines carry a crc field");
         // Flip one payload digit: still syntactically valid JSON, but
         // the recorded CRC no longer matches the bytes.
         let damaged = line.replace("\"payload\":42", "\"payload\":43");
         assert_ne!(line, damaged);
         assert!(Json::parse(&damaged).is_ok(), "damage is JSON-invisible");
-        assert!(CheckpointEntry::<u64>::decode(&damaged).is_err());
+        assert!(decode_line::<u64>(&damaged).is_err());
         // The undamaged line still decodes.
-        assert!(CheckpointEntry::<u64>::decode(&line).is_ok());
+        assert!(decode_line::<u64>(&line).is_ok());
     }
 
     #[test]
@@ -831,13 +757,11 @@ mod tests {
             wall: Duration::from_secs(30),
             reason: "timeout".to_string(),
         };
-        let line = f.encode();
+        let line = encode(&f.label, f.fingerprint, f.wall, Err(&f.reason));
         match decode_line::<u64>(&line).unwrap() {
             Line::Failed(back) => assert_eq!(back, f),
             Line::Completed(_) => panic!("failed entry decoded as completed"),
         }
-        // The strict completed-only decoder rejects it.
-        assert!(CheckpointEntry::<u64>::decode(&line).is_err());
     }
 
     #[test]
@@ -846,21 +770,17 @@ mod tests {
         let writer = CheckpointWriter::create(&path).unwrap();
         writer.append(&entry("ok", 1, 10)).unwrap();
         writer
-            .append_failed(&FailedEntry {
-                label: "bad".to_string(),
-                fingerprint: 2,
-                wall: Duration::from_secs(5),
-                reason: "timeout".to_string(),
-            })
+            .record("bad", 2, Duration::from_secs(5), Err("timeout"))
             .unwrap();
         drop(writer);
-        let mut ckpt = Checkpoint::<u64>::load(&path).unwrap();
-        assert_eq!(ckpt.len(), 1);
-        assert_eq!(ckpt.failed().len(), 1);
-        assert!(ckpt.lookup_failed("bad", 2).is_some());
-        assert!(ckpt.lookup_failed("bad", 999).is_none(), "fingerprint gate");
-        assert_eq!(ckpt.take_failed("bad", 2).unwrap().reason, "timeout");
-        assert!(ckpt.take_failed("bad", 2).is_none(), "taken exactly once");
+        let (mut ckpt, _) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
+        assert_eq!(ckpt.len(), 1, "len counts completed entries");
+        assert_eq!(ckpt.serve("ok", 999), Serve::Stale, "fingerprint gate");
+        match ckpt.serve("bad", 2) {
+            Serve::Line(Line::Failed(f)) => assert_eq!(f.reason, "timeout"),
+            other => panic!("expected the recorded failure, got {other:?}"),
+        }
+        assert_eq!(ckpt.serve("bad", 2), Serve::Missing, "served exactly once");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -878,10 +798,9 @@ mod tests {
         let damaged = lines[1].replace("\"payload\":20", "\"payload\":21");
         std::fs::write(&path, format!("{}\n{damaged}\n{}\n", lines[0], lines[2])).unwrap();
 
-        let (ckpt, q) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
+        let (mut ckpt, q) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
         assert_eq!(ckpt.len(), 2);
-        assert_eq!(ckpt.stale_lines, 0);
-        assert!(ckpt.lookup("b", 2).is_none(), "damaged point re-runs");
+        assert_eq!(ckpt.serve("b", 2), Serve::Missing, "damaged point re-runs");
         assert_eq!(q.lines, 1);
         let sidecar = q.sidecar.unwrap();
         let bad = std::fs::read_to_string(&sidecar).unwrap();
@@ -906,15 +825,20 @@ mod tests {
         assert_eq!(q, Quarantine::default());
 
         let path = temp_path("quarantine_clean");
-        CheckpointWriter::create(&path)
-            .unwrap()
-            .append(&entry("a", 1, 10))
-            .unwrap();
+        let writer = CheckpointWriter::create(&path).unwrap();
+        writer.append(&entry("a", 1, 10)).unwrap();
+        writer.append(&entry("b", 2, 20)).unwrap();
+        drop(writer);
+        let before = std::fs::metadata(&path).unwrap().modified().unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let (ckpt, q) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
-        assert_eq!(ckpt.len(), 1);
+        assert_eq!(ckpt.len(), 2);
         assert_eq!(q, Quarantine::default());
         assert_eq!(std::fs::read(&path).unwrap(), bytes, "clean file untouched");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().modified().unwrap(),
+            before
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -926,34 +850,28 @@ mod tests {
         writer.append(&entry("b", 2, 20)).unwrap();
         drop(writer);
 
-        let ckpt = Checkpoint::<u64>::load(&path).unwrap();
+        let (mut ckpt, _) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
         assert_eq!(ckpt.len(), 2);
-        assert_eq!(ckpt.lookup("a", 1).unwrap().payload, 10);
-        // Fingerprint mismatch means the point config changed: no hit.
-        assert!(ckpt.lookup("a", 999).is_none());
-        assert!(ckpt.lookup("missing", 1).is_none());
+        // Fingerprint mismatch means the point config changed: stale.
+        assert_eq!(ckpt.serve("b", 999), Serve::Stale);
+        assert_eq!(served(&mut ckpt, "a", 1), 10);
+        assert_eq!(ckpt.serve("missing", 1), Serve::Missing);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn truncated_final_line_is_stale_not_fatal() {
+    fn truncated_final_line_is_quarantined_not_fatal() {
         let path = temp_path("truncated");
-        let full = entry("done", 7, 70).encode();
+        let full = line_of(&entry("done", 7, 70));
         let partial = &full[..full.len() / 2];
         std::fs::write(&path, format!("{full}\n{partial}")).unwrap();
 
-        let ckpt = Checkpoint::<u64>::load(&path).unwrap();
+        let (mut ckpt, q) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
         assert_eq!(ckpt.len(), 1);
-        assert_eq!(ckpt.stale_lines, 1);
-        assert_eq!(ckpt.lookup("done", 7).unwrap().payload, 70);
+        assert_eq!(q.lines, 1);
+        assert_eq!(served(&mut ckpt, "done", 7), 70);
+        std::fs::remove_file(q.sidecar.unwrap()).unwrap();
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn missing_file_is_empty() {
-        let ckpt = Checkpoint::<u64>::load(&temp_path("never_written")).unwrap();
-        assert!(ckpt.is_empty());
-        assert_eq!(ckpt.stale_lines, 0);
     }
 
     #[test]
@@ -963,10 +881,11 @@ mod tests {
         writer.append(&entry("p", 1, 10)).unwrap();
         writer.append(&entry("p", 2, 20)).unwrap();
         drop(writer);
-        let ckpt = Checkpoint::<u64>::load(&path).unwrap();
         // The re-run (new fingerprint) wins; the stale one no longer hits.
-        assert_eq!(ckpt.lookup("p", 2).unwrap().payload, 20);
-        assert!(ckpt.lookup("p", 1).is_none());
+        let (mut ckpt, _) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
+        assert_eq!(ckpt.serve("p", 1), Serve::Stale);
+        let (mut ckpt, _) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
+        assert_eq!(served(&mut ckpt, "p", 2), 20);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -981,7 +900,7 @@ mod tests {
             .unwrap()
             .append(&entry("b", 2, 20))
             .unwrap();
-        let ckpt = Checkpoint::<u64>::load(&path).unwrap();
+        let (ckpt, _) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
         assert_eq!(ckpt.len(), 2);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1017,76 +936,34 @@ mod tests {
     }
 
     #[test]
-    fn compact_keeps_last_entry_per_label_and_preserves_damage() {
-        let path = temp_path("compact");
-        let stale = entry("b", 1, 11).encode();
+    fn load_drops_shadowed_lines_and_quarantines_damage() {
+        let path = temp_path("shadowed");
+        let stale = line_of(&entry("b", 1, 11));
         let writer = CheckpointWriter::create(&path).unwrap();
         writer.append(&entry("a", 1, 10)).unwrap();
         writer.append(&entry("b", 1, 11)).unwrap();
         writer.append(&entry("a", 2, 12)).unwrap(); // re-run shadows a@1
         writer.append(&entry("c", 1, 13)).unwrap();
         drop(writer);
-        // Simulate a kill mid-append: a trailing partial line. Compaction
-        // must reclaim only the shadowed entry — the torn fragment is the
-        // quarantining loader's to report, never compaction's to swallow.
+        // Simulate a kill mid-append: a trailing partial line. The one
+        // rewrite reclaims the shadowed entry and moves the torn fragment
+        // to the sidecar, reported once.
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str(&stale[..stale.len() / 2]);
         std::fs::write(&path, text).unwrap();
 
-        let result = compact(&path).unwrap();
-        assert_eq!(
-            result,
-            Compaction {
-                kept: 4,
-                dropped: 1
-            }
-        );
-
-        let ckpt = Checkpoint::<u64>::load(&path).unwrap();
+        let (mut ckpt, quarantine) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
+        assert_eq!(quarantine.lines, 1, "the fragment is quarantined");
         assert_eq!(ckpt.len(), 3);
-        assert_eq!(ckpt.stale_lines, 1, "the fragment survives compaction");
-        assert_eq!(ckpt.lookup("a", 2).unwrap().payload, 12);
-        assert!(ckpt.lookup("a", 1).is_none(), "shadowed entry reclaimed");
-        assert_eq!(ckpt.lookup("b", 1).unwrap().payload, 11);
-        assert_eq!(ckpt.lookup("c", 1).unwrap().payload, 13);
+        assert_eq!(ckpt.serve("a", 1), Serve::Stale, "a@2 shadows a@1");
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 3);
 
-        // The quarantining load then moves the fragment to the sidecar.
-        let (_, quarantine) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
-        assert_eq!(quarantine.lines, 1);
-        let sidecar = quarantine.sidecar.expect("sidecar written");
-        std::fs::remove_file(&sidecar).unwrap();
+        let (mut ckpt, again) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
+        assert_eq!(again, Quarantine::default());
+        assert_eq!(served(&mut ckpt, "a", 2), 12);
+        assert_eq!(served(&mut ckpt, "b", 1), 11);
+        assert_eq!(served(&mut ckpt, "c", 1), 13);
+        std::fs::remove_file(quarantine.sidecar.expect("sidecar written")).unwrap();
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn compact_leaves_clean_files_untouched() {
-        let path = temp_path("compact_noop");
-        let writer = CheckpointWriter::create(&path).unwrap();
-        writer.append(&entry("a", 1, 10)).unwrap();
-        writer.append(&entry("b", 2, 20)).unwrap();
-        drop(writer);
-        let before = std::fs::metadata(&path).unwrap().modified().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(
-            compact(&path).unwrap(),
-            Compaction {
-                kept: 2,
-                dropped: 0
-            }
-        );
-        assert_eq!(std::fs::read(&path).unwrap(), bytes);
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().modified().unwrap(),
-            before
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn compact_missing_file_is_empty() {
-        assert_eq!(
-            compact(&temp_path("compact_missing")).unwrap(),
-            Compaction::default()
-        );
     }
 }

@@ -37,13 +37,14 @@
 //!   the base status path, so one `watch cat` covers the whole fleet.
 //! * **Merge** — [`merge_shards`] loads the shard checkpoints
 //!   (quarantining any damaged lines to `.bad` sidecars, see
-//!   [`Checkpoint::load_quarantining`]), validates every expected
-//!   `(label, fingerprint)` pair against them (reporting points that
-//!   are missing or stale; recorded failures satisfy coverage), and
-//!   stitches the lines back in grid submission order. Downstream
-//!   totals fold through `merge_memory_stats`, whose stat types are
-//!   exact merge monoids, so the merged output is bit-identical to a
-//!   single-process run.
+//!   [`Checkpoint::load_quarantining`]), answers every expected
+//!   `(label, fingerprint)` pair by the rule a resume uses
+//!   ([`Checkpoint::serve`]: a label's last line, if its fingerprint
+//!   matches), reports points that are missing or stale (recorded
+//!   failures satisfy coverage), and stitches the lines back in grid
+//!   submission order. Downstream totals fold through
+//!   `merge_memory_stats`, whose stat types are exact merge monoids, so
+//!   the merged output is bit-identical to a single-process run.
 //!
 //! [`run_lifecycle`] ties the three together behind the sweep binaries'
 //! shared CLI: `--shard` / `--shards` / `--merge` select a [`ShardCli`]
@@ -59,7 +60,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::{Checkpoint, CheckpointEntry, CheckpointWriter, Line};
+use crate::checkpoint::{Checkpoint, CheckpointEntry, CheckpointWriter, Line, Serve};
 use crate::prune::{summarize, Attributed, PrunePolicy};
 use crate::sweep::{
     exit_code, sweep_map_checkpointed, SweepOptions, SweepResult, Tally, EXIT_RECORDED_FAILURES,
@@ -800,11 +801,13 @@ impl std::error::Error for MergeError {}
 /// order — regardless of which shard ran which point or in what order
 /// points completed. Damaged lines are quarantined to each file's
 /// `.bad` sidecar while loading (see [`Checkpoint::load_quarantining`]).
-/// Validation is exact: a grid point with no entry is reported missing,
-/// and one whose entry's fingerprint no longer matches is reported stale
-/// (either means the shards must run again before the merge can
-/// succeed). A recorded failure with a current fingerprint covers its
-/// point: the grid *finished*, just with that failure on the books.
+/// The files read as one concatenated checkpoint, and each point is
+/// answered by the same rule a resume uses ([`Checkpoint::serve`]): a
+/// point with no line is reported missing, and one whose last line's
+/// fingerprint no longer matches is reported stale (either means the
+/// shards must run again before the merge can succeed). A recorded
+/// failure with a current fingerprint covers its point: the grid
+/// *finished*, just with that failure on the books.
 ///
 /// # Errors
 ///
@@ -827,16 +830,10 @@ pub fn merge_shards<T: FromJson>(
     let mut missing = Vec::new();
     let mut stale = Vec::new();
     for (label, fingerprint) in expected {
-        if let Some(entry) = combined.take(label, *fingerprint) {
-            lines.push(Line::Completed(entry));
-        } else if let Some(failed) = combined.take_failed(label, *fingerprint) {
-            lines.push(Line::Failed(failed));
-        } else if combined.entries().iter().any(|e| &e.label == label)
-            || combined.failed().iter().any(|e| &e.label == label)
-        {
-            stale.push(label.clone());
-        } else {
-            missing.push(label.clone());
+        match combined.serve(label, *fingerprint) {
+            Serve::Line(line) => lines.push(line),
+            Serve::Stale => stale.push(label.clone()),
+            Serve::Missing => missing.push(label.clone()),
         }
     }
     if !missing.is_empty() || !stale.is_empty() {
@@ -890,7 +887,7 @@ pub fn write_entries<T: ToJson>(path: &Path, lines: &[Line<T>]) -> io::Result<()
     for line in lines {
         match line {
             Line::Completed(entry) => writer.append(entry)?,
-            Line::Failed(entry) => writer.append_failed(entry)?,
+            Line::Failed(f) => writer.record(&f.label, f.fingerprint, f.wall, Err(&f.reason))?,
         }
     }
     Ok(())
@@ -1458,7 +1455,7 @@ mod tests {
 
     #[test]
     fn merge_serves_recorded_failures_and_quarantines_damage() {
-        use crate::checkpoint::{CheckpointWriter, FailedEntry};
+        use crate::checkpoint::CheckpointWriter;
         let path = temp_path("merge_failed_quarantine.jsonl");
         let _ = std::fs::remove_file(sidecar_of(&path));
         let writer = CheckpointWriter::create(&path).unwrap();
@@ -1472,12 +1469,7 @@ mod tests {
             })
             .unwrap();
         writer
-            .append_failed(&FailedEntry {
-                label: "b".to_string(),
-                fingerprint: 2,
-                wall: Duration::from_secs(5),
-                reason: "timeout".to_string(),
-            })
+            .record("b", 2, Duration::from_secs(5), Err("timeout"))
             .unwrap();
         drop(writer);
         // Damage the file the way a torn write would: a truncated line.
@@ -1519,7 +1511,7 @@ mod tests {
     /// worker, supervisor or merge stitches them.
     #[test]
     fn exit_rule_table() {
-        use crate::checkpoint::{CheckpointWriter, FailedEntry};
+        use crate::checkpoint::CheckpointWriter;
         let result = |label: &str, outcome| SweepResult {
             label: label.to_string(),
             outcome,
@@ -1565,13 +1557,8 @@ mod tests {
         let timed_out = temp_path("exit_recorded.jsonl");
         let w = CheckpointWriter::create(&timed_out).unwrap();
         w.append(&entry("a", 1)).unwrap();
-        w.append_failed(&FailedEntry {
-            label: "b".to_string(),
-            fingerprint: 2,
-            wall: Duration::from_secs(1),
-            reason: "timeout".to_string(),
-        })
-        .unwrap();
+        w.record("b", 2, Duration::from_secs(1), Err("timeout"))
+            .unwrap();
         drop(w);
         let served = stitch::<u64>(
             "test",

@@ -39,14 +39,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use std::collections::HashMap;
 
-use crate::checkpoint::{
-    compact, debug_fingerprint, Checkpoint, CheckpointEntry, CheckpointWriter, FailedEntry, Line,
-};
+use crate::checkpoint::{debug_fingerprint, Checkpoint, CheckpointWriter, Line, Serve};
 use crate::fault::{self, FaultAction};
 use crate::prune::{Attributed, PruneDecision, PruneEvidence, PrunePolicy};
 use crate::run::{run_networks_metered, RunOptions, SocReport};
@@ -415,9 +413,9 @@ struct Pulse {
     /// prey. Only populated when `point_timeout` is set.
     inflight: Mutex<HashMap<u64, InFlightPoint>>,
     next_ticket: std::sync::atomic::AtomicU64,
-    /// Where the timeout monitor records `failed:timeout` entries;
-    /// installed by the checkpointing executor once its writer exists.
-    writer: Mutex<Option<Arc<CheckpointWriter>>>,
+    /// The checkpoint every settled result is persisted to (see
+    /// [`Pulse::persist`]); set once the file is open.
+    writer: OnceLock<CheckpointWriter>,
     /// Consecutive monitor ticks during which every in-flight point was
     /// timed out (no worker can make progress) — the exit trigger, held
     /// for two ticks so a worker between claims is not mistaken for a
@@ -430,9 +428,10 @@ struct InFlightPoint {
     label: String,
     fingerprint: u64,
     start: Instant,
-    /// Whether the monitor already recorded this point's timeout (the
-    /// worker is abandoned, but its entry stays until the process ends).
-    recorded: bool,
+    /// Set once the monitor timed the point out (the worker is
+    /// abandoned, but its entry stays until the process ends): whether
+    /// its `failed:timeout` line reached the checkpoint.
+    timed_out: Option<bool>,
 }
 
 /// Deregisters an in-flight point on drop — panic-safe bracketing for
@@ -479,7 +478,7 @@ impl Pulse {
             point_timeout: opts.point_timeout,
             inflight: Mutex::new(HashMap::new()),
             next_ticket: std::sync::atomic::AtomicU64::new(0),
-            writer: Mutex::new(None),
+            writer: OnceLock::new(),
             hung_stable: AtomicUsize::new(0),
         });
         pulse.beat("run");
@@ -499,7 +498,7 @@ impl Pulse {
                 label: label.to_string(),
                 fingerprint,
                 start: Instant::now(),
-                recorded: false,
+                timed_out: None,
             },
         );
         Some(ticket)
@@ -516,39 +515,39 @@ impl Pulse {
     /// for every in-flight point past its budget, and — once the only
     /// in-flight points left are timed-out ones, so no worker can make
     /// progress — end the process with a terminal failure summary and
-    /// the code [`exit_code`] gives: the timed-out points are recorded
-    /// failures, the points not done are unaccounted for.
+    /// the code [`exit_code`] gives: a timeout whose line reached the
+    /// checkpoint is a recorded failure; one that did not is a failure
+    /// in execution (a re-run would hang again); the points not done
+    /// are unaccounted for.
     fn check_timeouts(&self) {
         let Some(budget) = self.point_timeout else {
             return;
         };
-        let (hung, active) = {
+        let (hung, recorded, active) = {
             let mut inflight = self.inflight.lock().expect("inflight lock");
             for p in inflight.values_mut() {
-                if !p.recorded && p.start.elapsed() > budget {
-                    p.recorded = true;
+                if p.timed_out.is_none() && p.start.elapsed() > budget {
                     eprintln!(
                         "sweep: point '{}' exceeded --point-timeout ({:.1}s): recording failed:timeout and abandoning its worker",
                         p.label,
                         budget.as_secs_f64()
                     );
-                    let entry = FailedEntry {
-                        label: p.label.clone(),
-                        fingerprint: p.fingerprint,
-                        wall: p.start.elapsed(),
-                        reason: "timeout".to_string(),
-                    };
-                    if let Some(w) = self.writer.lock().expect("writer lock").as_ref() {
-                        if let Err(e) = w.append_failed(&entry) {
-                            eprintln!("sweep: failed to record timeout for '{}': {e}", p.label);
-                        }
-                    }
+                    let persisted =
+                        self.persist(&p.label, p.fingerprint, p.start.elapsed(), Err("timeout"));
+                    p.timed_out = Some(persisted);
                     self.failed.fetch_add(1, Ordering::Relaxed);
+                    if !persisted {
+                        self.exec_failed.fetch_add(1, Ordering::Relaxed);
+                    }
                     self.metrics.inc(Counter::PointsFailed);
                 }
             }
-            let hung = inflight.values().filter(|p| p.recorded).count();
-            (hung, inflight.len())
+            let hung = inflight.values().filter(|p| p.timed_out.is_some()).count();
+            let recorded = inflight
+                .values()
+                .filter(|p| p.timed_out == Some(true))
+                .count();
+            (hung, recorded, inflight.len())
         };
         if hung == 0 || hung < active {
             self.hung_stable.store(0, Ordering::Relaxed);
@@ -564,7 +563,7 @@ impl Pulse {
         let code = exit_code(Tally {
             accounted: done + hung >= self.grid_total,
             exec_failed: self.exec_failed.load(Ordering::Relaxed),
-            recorded: hung,
+            recorded,
         });
         let verdict = if code == EXIT_RECORDED_FAILURES {
             "completed with recorded failures"
@@ -577,6 +576,30 @@ impl Pulse {
         );
         self.beat("done");
         std::process::exit(code);
+    }
+
+    /// Persists one result the executor settled — executed, follower,
+    /// pruned (`Ok((payload, evidence))`) or timed out (`Err(reason)`)
+    /// — as its checkpoint line; the only place the executor writes its
+    /// checkpoint. Failures in execution never get here: they re-run on
+    /// resume. Returns whether the line reached the file.
+    fn persist(
+        &self,
+        label: &str,
+        fingerprint: u64,
+        wall: Duration,
+        outcome: Result<(&dyn ToJson, Option<&PruneEvidence>), &str>,
+    ) -> bool {
+        let Some(writer) = self.writer.get() else {
+            return false;
+        };
+        match writer.record(label, fingerprint, wall, outcome) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("sweep: checkpoint append failed for '{label}': {e}");
+                false
+            }
+        }
     }
 
     fn done_total(&self) -> usize {
@@ -779,16 +802,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// the reported wall. Panics inside the closure are caught and isolated
 /// per item.
 ///
-/// As soon as item `i` finishes, `followers(i, &result)` yields the
-/// results of the points waiting on it (see [`run_phase`]); each takes
-/// the next progress-line position right after its leader's, and is
-/// returned alongside it.
+/// As soon as item `i` finishes, `settle(i, &result)` persists it and
+/// yields the results of the points waiting on it (see [`run_phase`]);
+/// each takes the next progress-line position right after its leader's,
+/// and is returned alongside it.
 fn sweep_map_walled<I, T, G, H>(
     items: Vec<(String, I)>,
     opts: &SweepOptions,
     pulse: &Pulse,
     g: G,
-    followers: H,
+    settle: H,
 ) -> Vec<(SweepResult<T>, Vec<SweepResult<T>>)>
 where
     I: Send,
@@ -842,7 +865,7 @@ where
             cached: false,
             pruned: None,
         };
-        let copies = followers(idx, &result);
+        let copies = settle(idx, &result);
         for copy in &copies {
             pulse.pending.fetch_sub(1, Ordering::Relaxed);
             let position = pulse.advance();
@@ -1002,16 +1025,18 @@ where
                 .is_some_and(|&(fp, _)| fp == ev.basis_fingerprint)
     };
     for (idx, (label, fingerprint, item)) in items.into_iter().enumerate() {
-        let line = match checkpoint.take(&label, fingerprint) {
-            Some(entry) if entry.pruned.as_ref().is_some_and(|ev| !replayable(ev)) => None,
-            Some(entry) => Some(Line::Completed(entry)),
-            // A recorded failure (timeout) is served as a first-class
-            // `Err` result rather than re-attempted: a deterministic
-            // hang must not wedge every resume cycle. Deleting the line
-            // (or running without --resume) re-runs the point.
-            None => checkpoint
-                .take_failed(&label, fingerprint)
-                .map(Line::Failed),
+        // A recorded failure (timeout) is served as a first-class `Err`
+        // result rather than re-attempted: a deterministic hang must not
+        // wedge every resume cycle. A later line for the label (or
+        // running without --resume) re-runs the point.
+        let line = match checkpoint.serve(&label, fingerprint) {
+            Serve::Line(Line::Completed(entry))
+                if entry.pruned.as_ref().is_some_and(|ev| !replayable(ev)) =>
+            {
+                None
+            }
+            Serve::Line(line) => Some(line),
+            Serve::Stale | Serve::Missing => None,
         };
         match &line {
             None => to_run.push((idx, label, fingerprint, item)),
@@ -1033,9 +1058,8 @@ where
         .add(Counter::PointsCached, (cached_run + cached_pruned) as u64);
     if opts.resume {
         if let Some(path) = &path {
-            let stale = checkpoint.stale_lines;
             eprintln!(
-                "sweep: resume from {}: skipped {skipped}/{total} completed points{}{}{}",
+                "sweep: resume from {}: skipped {skipped}/{total} completed points{}{}",
                 path.display(),
                 if cached_pruned > 0 {
                     format!(" ({cached_pruned} pruned replayed)")
@@ -1047,41 +1071,29 @@ where
                 } else {
                     String::new()
                 },
-                if stale > 0 {
-                    format!(" ({stale} stale/partial lines ignored)")
-                } else {
-                    String::new()
-                }
             );
         }
     }
 
-    // Fresh runs truncate; resumes append (re-run entries shadow stale
-    // ones on the next load). A checkpoint the filesystem refuses to
-    // open degrades to an unpersisted sweep rather than losing the run.
-    let writer = match &path {
-        Some(path) => {
-            let writer = if opts.resume {
-                CheckpointWriter::append_to(path)
-            } else {
-                CheckpointWriter::create(path)
-            };
-            match writer {
-                Ok(w) => Some(Arc::new(w)),
-                Err(e) => {
-                    eprintln!(
-                        "sweep: cannot write checkpoint {}: {e}; results will not be persisted",
-                        path.display()
-                    );
-                    None
-                }
+    // Fresh runs truncate; resumes append (re-run lines shadow stale
+    // ones). A checkpoint the filesystem refuses to open degrades to an
+    // unpersisted sweep rather than losing the run.
+    if let Some(path) = &path {
+        let writer = if opts.resume {
+            CheckpointWriter::append_to(path)
+        } else {
+            CheckpointWriter::create(path)
+        };
+        match writer {
+            Ok(w) => {
+                let _ = pulse.writer.set(w);
             }
+            Err(e) => eprintln!(
+                "sweep: cannot write checkpoint {}: {e}; results will not be persisted",
+                path.display()
+            ),
         }
-        None => None,
-    };
-    // Hand the writer to the timeout monitor so an expired point can be
-    // recorded as failed:timeout from outside its (wedged) worker.
-    *pulse.writer.lock().expect("writer lock") = writer.clone();
+    }
 
     // Split what's left into phase 1 — group bases and ungrouped points,
     // which must really run — and the group members whose fate phase 1's
@@ -1105,7 +1117,6 @@ where
     // The `sweep.point` failpoint fires only in a sweep that served no
     // point from its checkpoint, so a resumed retry runs past it.
     let fresh = skipped == 0;
-    let writer_ref = &writer;
     let pulse_ref = &pulse;
     let run_point = move |(label, fingerprint, item): (String, u64, I)| {
         // Deregisters on every exit path, including a panic inside `f`
@@ -1123,39 +1134,16 @@ where
                 _ => {}
             }
         }
-        let start = Instant::now();
-        let payload = f(item).map_err(SweepError::Accel)?;
         // The persisted wall and the returned wall are the same pure
         // simulation measurement; JSON encoding and the flushed append
-        // below are excluded from both.
-        let wall = start.elapsed();
-        if let Some(w) = writer_ref {
-            let entry = CheckpointEntry {
-                label,
-                fingerprint,
-                wall,
-                payload,
-                pruned: None,
-            };
-            if let Err(e) = w.append(&entry) {
-                eprintln!("sweep: checkpoint append failed for '{}': {e}", entry.label);
-            }
-            Ok((entry.payload, wall))
-        } else {
-            Ok((payload, wall))
-        }
+        // are excluded from both.
+        let start = Instant::now();
+        let payload = f(item).map_err(SweepError::Accel)?;
+        Ok((payload, start.elapsed()))
     };
 
     // Phase 1: bases and ungrouped points.
-    let mut followed = run_phase(
-        phase1,
-        &mut slots,
-        &mut known,
-        writer.as_deref(),
-        &opts,
-        &pulse,
-        &run_point,
-    );
+    let mut followed = run_phase(phase1, &mut slots, &mut known, &opts, &pulse, &run_point);
 
     // Decide each remaining member against its basis's attribution: prune
     // with evidence (persisted like any completed point, wall 0), or send
@@ -1189,21 +1177,13 @@ where
                     .and_then(|b| b.ok())
                     .expect("a prune decision implies a successful basis")
                     .clone();
-                if let Some(w) = &writer {
-                    let entry = CheckpointEntry {
-                        label: label.clone(),
-                        fingerprint,
-                        wall: Duration::ZERO,
-                        payload: predicted,
-                        pruned: Some(evidence.clone()),
-                    };
-                    if let Err(e) = w.append(&entry) {
-                        eprintln!("sweep: checkpoint append failed for '{label}': {e}");
-                    }
-                    slots[idx] = Some(SweepResult::pruned_from(label, entry.payload, evidence));
-                } else {
-                    slots[idx] = Some(SweepResult::pruned_from(label, predicted, evidence));
-                }
+                pulse.persist(
+                    &label,
+                    fingerprint,
+                    Duration::ZERO,
+                    Ok((&predicted, Some(&evidence))),
+                );
+                slots[idx] = Some(SweepResult::pruned_from(label, predicted, evidence));
                 newly_pruned += 1;
             }
             PruneDecision::Run(_) => phase2.push((idx, label, fingerprint, item)),
@@ -1216,15 +1196,7 @@ where
 
     // Phase 2: members the evidence could not excuse.
     if !phase2.is_empty() {
-        followed += run_phase(
-            phase2,
-            &mut slots,
-            &mut known,
-            writer.as_deref(),
-            &opts,
-            &pulse,
-            &run_point,
-        );
+        followed += run_phase(phase2, &mut slots, &mut known, &opts, &pulse, &run_point);
     }
     drop(monitor);
     pulse.finalize();
@@ -1244,25 +1216,14 @@ where
         );
     }
 
-    // A resumed completion has appended re-run entries over stale ones;
-    // reclaim the shadowed lines so repeated resume cycles cannot grow
-    // the file without bound. (Fresh runs truncate on open, so every
-    // label is already unique.)
-    if opts.resume && writer.is_some() {
-        drop(writer);
+    // A resumed completion has appended re-run lines after the ones they
+    // shadow, and maybe a torn one: one more pass of the loader drops
+    // the former and quarantines the latter, so repeated resume cycles
+    // cannot grow the file. (Fresh runs truncate on open.)
+    if opts.resume && pulse.writer.get().is_some() {
         let path = path.as_ref().expect("a writer implies a path");
-        match compact(path) {
-            Ok(c) if c.dropped > 0 && opts.progress => eprintln!(
-                "sweep: compacted checkpoint {}: kept {}, reclaimed {} shadowed lines",
-                path.display(),
-                c.kept,
-                c.dropped
-            ),
-            Ok(_) => {}
-            Err(e) => eprintln!(
-                "sweep: checkpoint compaction failed for {}: {e}",
-                path.display()
-            ),
+        if let Err(e) = Checkpoint::<T>::load_quarantining(path) {
+            eprintln!("sweep: cannot rewrite checkpoint {}: {e}", path.display());
         }
     }
 
@@ -1283,7 +1244,6 @@ fn run_phase<I, T, G>(
     batch: Vec<(usize, String, u64, I)>,
     slots: &mut [Option<SweepResult<T>>],
     known: &mut HashMap<u64, usize>,
-    writer: Option<&CheckpointWriter>,
     opts: &SweepOptions,
     pulse: &Pulse,
     run_point: G,
@@ -1300,7 +1260,7 @@ where
     for (idx, label, fingerprint, item) in batch {
         if let Some(&source) = known.get(&fingerprint) {
             let source = slots[source].as_ref().expect("known results are filled");
-            slots[idx] = Some(follow(source, label, fingerprint, writer));
+            slots[idx] = Some(follow(source, label, fingerprint, pulse));
             copied += 1;
         } else if let Some(&pos) = leader_of.get(&fingerprint) {
             followers[pos].push((idx, label));
@@ -1320,9 +1280,13 @@ where
         .map(|(_, label, fingerprint, item)| (label.clone(), (label, fingerprint, item)))
         .collect();
     let ran = sweep_map_walled(work, opts, pulse, run_point, |pos, leader| {
+        let fingerprint = placed[pos].1;
+        if let Ok(payload) = &leader.outcome {
+            pulse.persist(&leader.label, fingerprint, leader.wall, Ok((payload, None)));
+        }
         followers[pos]
             .iter()
-            .map(|(_, label)| follow(leader, label.clone(), placed[pos].1, writer))
+            .map(|(_, label)| follow(leader, label.clone(), fingerprint, pulse))
             .collect()
     });
     for (((idx, fingerprint), waiting), (leader, copies)) in
@@ -1347,19 +1311,10 @@ fn follow<T: ToJson + Clone>(
     source: &SweepResult<T>,
     label: String,
     fingerprint: u64,
-    writer: Option<&CheckpointWriter>,
+    pulse: &Pulse,
 ) -> SweepResult<T> {
-    if let (Some(w), Ok(payload)) = (writer, &source.outcome) {
-        let entry = CheckpointEntry {
-            label: label.clone(),
-            fingerprint,
-            wall: Duration::ZERO,
-            payload: payload.clone(),
-            pruned: None,
-        };
-        if let Err(e) = w.append(&entry) {
-            eprintln!("sweep: checkpoint append failed for '{label}': {e}");
-        }
+    if let Ok(payload) = &source.outcome {
+        pulse.persist(&label, fingerprint, Duration::ZERO, Ok((payload, None)));
     }
     SweepResult {
         label,
@@ -1433,6 +1388,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointEntry;
 
     // Explicit thread count so these tests never read GEMMINI_THREADS
     // (env mutation would race with parallel test execution).
@@ -1555,12 +1511,7 @@ mod tests {
             })
             .unwrap();
         writer
-            .append_failed(&FailedEntry {
-                label: "b".to_string(),
-                fingerprint: fp(2),
-                wall: Duration::from_secs(9),
-                reason: "timeout".to_string(),
-            })
+            .record("b", fp(2), Duration::from_secs(9), Err("timeout"))
             .unwrap();
         drop(writer);
 

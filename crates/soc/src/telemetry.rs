@@ -5,7 +5,7 @@
 //! they work on any machine with no server and no new dependencies:
 //!
 //! * a **heartbeat**: one JSON document ([`Heartbeat`]) rewritten
-//!   atomically (temp file + rename, the checkpoint-compaction idiom) on
+//!   atomically (temp file + rename, the checkpoint rewrite idiom) on
 //!   every point completion and every ~2 s, carrying phase, progress
 //!   counts, throughput, a p50-derived ETA, the per-point wall-clock
 //!   histogram and — when live metrics are enabled — a full

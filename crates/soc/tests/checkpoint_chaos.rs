@@ -91,8 +91,7 @@ proptest! {
         prop_assert_eq!(quarantine.lines, expect_bad);
         prop_assert_eq!(quarantine.sidecar.is_some(), expect_bad > 0);
         prop_assert_eq!(std::fs::metadata(&sidecar).is_ok(), expect_bad > 0);
-        let loaded_labels: Vec<String> =
-            loaded.entries().iter().map(|e| e.label.clone()).collect();
+        let loaded_labels: Vec<String> = loaded.entries().map(|e| e.label.clone()).collect();
         prop_assert_eq!(&loaded_labels, &expect_good);
         for e in loaded.entries() {
             let i: u64 = e.label[2..].parse().unwrap();
@@ -102,7 +101,7 @@ proptest! {
         // Exactly-once: a second load sees a fully clean file.
         let (reloaded, again) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
         prop_assert_eq!(again.lines, 0);
-        prop_assert_eq!(reloaded.entries().len(), expect_good.len());
+        prop_assert_eq!(reloaded.len(), expect_good.len());
 
         // "Resume" the sweep: re-run every point the damage lost and
         // append its (deterministic) result, as the executor would.

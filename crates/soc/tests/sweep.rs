@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use gemmini_dnn::graph::{Activation, Layer, Network};
-use gemmini_soc::checkpoint::Checkpoint;
+use gemmini_soc::checkpoint::{Checkpoint, CheckpointEntry, Line, Serve};
 use gemmini_soc::run::{run_networks, RunOptions, SocReport};
 use gemmini_soc::sweep::{
     merge_memory_stats, run_sweep_with, sweep_map_checkpointed, DesignPoint, SweepError,
@@ -183,6 +183,20 @@ fn scratch_checkpoint(test: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gemmini_ckpt_{test}_{}.jsonl", std::process::id()))
 }
 
+fn load(path: &std::path::Path) -> Checkpoint<u64> {
+    Checkpoint::load_quarantining(path)
+        .expect("checkpoint loads")
+        .0
+}
+
+/// The completed entry the checkpoint serves for `(label, fingerprint)`.
+fn completed(ckpt: &mut Checkpoint<u64>, label: &str, fingerprint: u64) -> CheckpointEntry<u64> {
+    match ckpt.serve(label, fingerprint) {
+        Serve::Line(Line::Completed(entry)) => entry,
+        other => panic!("expected a completed line for '{label}', got {other:?}"),
+    }
+}
+
 /// Runs `points` through the checkpointed executor with an execution
 /// counter on the side, so tests can assert exactly which points ran
 /// versus were served from the checkpoint file.
@@ -234,9 +248,10 @@ fn interrupted_sweep_resumes_bit_identically() {
     assert!(matches!(first[4].outcome, Err(SweepError::Panicked(_))));
 
     // The checkpoint holds exactly the seven completed points.
-    let on_disk: Checkpoint<SocReport> = Checkpoint::load(&path).expect("checkpoint loads");
+    let (on_disk, quarantine) =
+        Checkpoint::<SocReport>::load_quarantining(&path).expect("checkpoint loads");
     assert_eq!(on_disk.len(), 7, "only completed points are persisted");
-    assert_eq!(on_disk.stale_lines, 0);
+    assert_eq!(quarantine.lines, 0);
 
     // Resume with the corrected sweep: only the missing point runs, the
     // other seven are served from the file, and the stitched results are
@@ -375,10 +390,10 @@ fn failed_points_are_not_persisted_and_rerun_on_resume() {
     assert!(matches!(first[2].outcome, Err(SweepError::Accel(_))));
     assert!(matches!(first[4].outcome, Err(SweepError::Panicked(_))));
 
-    let on_disk: Checkpoint<u64> = Checkpoint::load(&path).expect("checkpoint loads");
+    let mut on_disk = load(&path);
     assert_eq!(on_disk.len(), 4, "failed points must not be persisted");
-    assert!(on_disk.lookup("accel", 2).is_none());
-    assert!(on_disk.lookup("panic", 4).is_none());
+    assert_eq!(on_disk.serve("accel", 2), Serve::Missing);
+    assert_eq!(on_disk.serve("panic", 4), Serve::Missing);
 
     // Resume with the failures fixed (same labels and fingerprints, a
     // healthy closure): exactly the two failed points re-run.
@@ -432,11 +447,9 @@ fn reported_wall_is_the_persisted_pure_simulation_wall() {
     // its checkpoint line — the pure simulation time, measured once.
     // (Before the fix, the returned wall also included JSON encoding and
     // the flushed append, so a run and its cached replay disagreed.)
-    let on_disk: Checkpoint<u64> = Checkpoint::load(&path).expect("checkpoint loads");
+    let mut on_disk = load(&path);
     for r in &fresh {
-        let entry = on_disk
-            .lookup(&r.label, r.outcome.as_ref().copied().unwrap())
-            .unwrap();
+        let entry = completed(&mut on_disk, &r.label, r.outcome.as_ref().copied().unwrap());
         assert_eq!(
             r.wall, entry.wall,
             "returned wall must equal persisted wall for '{}'",
@@ -506,18 +519,69 @@ fn repeated_resume_cycles_do_not_grow_the_checkpoint() {
     }
 
     // The surviving lines are the latest cycle's entries.
-    let on_disk: Checkpoint<u64> = Checkpoint::load(&path).expect("checkpoint loads");
+    let mut on_disk = load(&path);
     assert_eq!(on_disk.len(), n);
     for i in 0..n {
         assert_eq!(
-            on_disk
-                .lookup(&format!("p{i}"), fingerprint(2, i))
-                .unwrap()
-                .payload,
+            completed(&mut on_disk, &format!("p{i}"), fingerprint(2, i)).payload,
             i as u64 + 2
         );
     }
 
+    let _ = std::fs::remove_file(&path);
+}
+
+/// One file, one answer: the last line for a label serves it. Seeded
+/// with a completed then a recorded-failure line for `a` (same
+/// fingerprint) and a stale line for `b`, two successive resumes and a
+/// shard merge over the file must all serve `a` its last line.
+#[test]
+fn resume_and_merge_serve_the_last_line_for_a_label() {
+    use gemmini_soc::checkpoint::CheckpointWriter;
+    use gemmini_soc::shard::merge_shards;
+    let path = scratch_checkpoint("serve_rule");
+    let _ = std::fs::remove_file(&path);
+    let writer = CheckpointWriter::create(&path).unwrap();
+    let entry = |label: &str, fingerprint| CheckpointEntry {
+        label: label.to_string(),
+        fingerprint,
+        wall: Duration::ZERO,
+        payload: 10u64,
+        pruned: None,
+    };
+    writer.append(&entry("a", 7)).unwrap();
+    writer
+        .record("a", 7, Duration::from_secs(1), Err("timeout"))
+        .unwrap();
+    writer.append(&entry("b", 1)).unwrap(); // b is now at fingerprint 2
+    drop(writer);
+
+    let grid = || vec![("a".to_string(), 7, 7u64), ("b".to_string(), 2, 2u64)];
+    for pass in 0..2 {
+        let ran = AtomicUsize::new(0);
+        let results = sweep_map_checkpointed(grid(), ckpt(&path, true, 1), |i| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            Ok(i * 10)
+        });
+        assert!(
+            matches!(&results[0].outcome, Err(SweepError::Recorded(r)) if r == "timeout"),
+            "pass {pass}: 'a' is answered by its last line, got {:?}",
+            results[0].outcome
+        );
+        assert_eq!(*results[1].expect_ok(), 20, "pass {pass}");
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            1 - pass,
+            "pass {pass}: only the stale 'b' runs, once"
+        );
+    }
+    let expected: Vec<(String, u64)> = grid().into_iter().map(|(l, fp, _)| (l, fp)).collect();
+    let merged = merge_shards::<u64>(&expected, std::slice::from_ref(&path)).unwrap();
+    assert!(
+        matches!(&merged[0], Line::Failed(f) if f.reason == "timeout"),
+        "the merge serves 'a' the same last line, got {:?}",
+        merged[0]
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -587,8 +651,11 @@ fn followers_are_persisted_and_resume_serves_every_point() {
         assert!(!r.cached, "a fresh pass never marks a point cached");
         assert_eq!(is_follower(r), [2, 4, 5].contains(&i), "{}", r.label);
     }
-    let on_disk: Checkpoint<u64> = Checkpoint::load(&path).expect("checkpoint loads");
-    assert_eq!(on_disk.len(), 6, "followers persist as ordinary entries");
+    assert_eq!(
+        load(&path).len(),
+        6,
+        "followers persist as ordinary entries"
+    );
 
     let executed = AtomicUsize::new(0);
     let resumed = sweep_map_checkpointed(keyed(&fps), ckpt(&path, true, 2), |fp| {
@@ -624,8 +691,7 @@ fn failing_leader_fails_its_followers_without_persisting_them() {
         );
     }
     assert_eq!(*results[2].expect_ok(), 2);
-    let on_disk: Checkpoint<u64> = Checkpoint::load(&path).expect("checkpoint loads");
-    assert_eq!(on_disk.len(), 1, "only the healthy point persists");
+    assert_eq!(load(&path).len(), 1, "only the healthy point persists");
 
     // A resume re-runs the leader once and serves its followers again.
     let executed = AtomicUsize::new(0);
@@ -654,8 +720,11 @@ fn follower_of_a_checkpointed_leader_is_not_resimulated() {
     assert!(resumed[0].cached);
     assert!(is_follower(&resumed[1]));
     assert_eq!(*resumed[1].expect_ok(), 70);
-    let on_disk: Checkpoint<u64> = Checkpoint::load(&path).expect("checkpoint loads");
-    assert!(on_disk.lookup("p1", 7).is_some(), "the copy is persisted");
+    assert_eq!(
+        completed(&mut load(&path), "p1", 7).payload,
+        70,
+        "the copy is persisted"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
